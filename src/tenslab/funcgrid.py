@@ -6,6 +6,16 @@ independent of mesh sizes.  Multivariate polynomials therefore come with
 a free CP representation (one term per monomial), and smooth functions
 get a coefficient tensor through projection on the tensor Chebyshev
 basis.
+
+A :class:`MonomialPoly` is evaluated on a whole grid at once, term by
+term on the open (broadcast) grid, with the same floating-point
+operations as a call at one point.  Any other callable is called once
+per grid point: a callable that accepts arrays need not act elementwise
+(``lambda x, y: np.max([x, y])`` returns one value for two arrays), and that
+cannot be detected, so only the per-point call is safe.
+:func:`cheb_reconstruct` builds one Chebyshev basis matrix per mode and
+contracts the coefficient tensor in blocks of points, so its memory stays
+within a small multiple of the coefficient tensor.
 """
 from __future__ import annotations
 
@@ -146,9 +156,17 @@ def discretize(f: Callable | MonomialPoly, grid: CartesianGrid) -> DenseTensor:
 
     Pointwise products of functions become Hadamard products of their
     discretizations, and tensor products of functions become tensor
-    products.  Evaluation failures are re-raised with the offending
-    grid point attached.
+    products.  A :class:`MonomialPoly` of the grid's arity is evaluated
+    on the whole grid at once, bit-identical to calling it per point.
+    Any other callable is called once per grid point, since a callable
+    that accepts arrays is not necessarily elementwise.  Evaluation
+    failures are re-raised with the offending grid point attached.
     """
+    if isinstance(f, MonomialPoly) and f.arity == grid.arity:
+        try:
+            return DenseTensor(_poly_on_grid(f, grid))
+        except OverflowError:
+            pass  # the per-point loop below names the failing grid point
     shape = grid.shape
     out = np.empty(shape)
     axes = [m.points for m in grid.meshes]
@@ -159,6 +177,28 @@ def discretize(f: Callable | MonomialPoly, grid: CartesianGrid) -> DenseTensor:
         except Exception as exc:
             raise ValueError(f"evaluation failed at grid point {point}") from exc
     return DenseTensor(out)
+
+
+def _poly_on_grid(P: MonomialPoly, grid: CartesianGrid) -> np.ndarray:
+    """``P`` on the open grid, with the operations of ``P.__call__`` in its order.
+
+    Powers come from Python's float ``**`` (numpy's ``power`` may round
+    differently), so they raise ``OverflowError`` where a call at a grid
+    point would.  An exponent of 0 multiplies by 1.0, which changes no
+    bits and is skipped; each term is broadcast into the sum because
+    a variable absent from every term adds no axis to it.
+    """
+    axes = [[-1 if nu == mu else 1 for nu in range(grid.arity)] for mu in range(grid.arity)]
+    total = np.zeros(grid.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python float arithmetic
+        for coeff, exps in P.terms:
+            term = coeff
+            for mu, k in enumerate(exps):
+                if k:
+                    mesh = grid.meshes[mu].points
+                    term = term * np.array([x ** k for x in mesh]).reshape(axes[mu])
+            total += term
+    return total
 
 
 def poly_discretize_cp(P: MonomialPoly, grid: CartesianGrid) -> CPDecomposition:
@@ -204,6 +244,21 @@ def chebyshev_eval(n: int, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _cheb_basis(x: np.ndarray, n: int) -> np.ndarray:
+    """``T_0..T_{n-1}`` at every entry of the vector ``x``, one row each.
+
+    The recurrence of :func:`chebyshev_eval` (and of numpy's
+    ``chebvander``), so the rows carry the same bits.
+    """
+    out = np.empty((n, len(x)))
+    out[0] = 1.0
+    if n > 1:
+        out[1] = x
+    for j in range(2, n):
+        out[j] = 2.0 * x * out[j - 1] - out[j - 2]
+    return out
+
+
 def chebyshev_nodes(m: int) -> np.ndarray:
     """The ``m`` Gauss-Chebyshev nodes ``cos((2k - 1) pi / (2m))``, ascending."""
     k = np.arange(1, m + 1)
@@ -218,13 +273,9 @@ def _cheb_transform_matrix(max_degree: int, nodes: np.ndarray) -> np.ndarray:
     carries 1/m, the others 2/m).
     """
     m = len(nodes)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rows = [chebyshev_eval(n, nodes) for n in range(max_degree + 1)]
-    mat = np.stack(rows, axis=0)
     scale = np.full(max_degree + 1, 2.0 / m)
     scale[0] = 1.0 / m
-    return mat * scale[:, None]
+    return _cheb_basis(nodes, max_degree + 1) * scale[:, None]
 
 
 def cheb_project(f: Callable | MonomialPoly, degrees: Sequence[int]) -> DenseTensor:
@@ -254,7 +305,11 @@ def cheb_reconstruct(coeffs, points) -> np.ndarray:
     """Evaluate the truncated Chebyshev series at the given points.
 
     ``points`` is a single d-tuple or an ``(npoints, d)`` array; returns
-    a scalar in the first case, a vector in the second.
+    a scalar in the first case, a vector in the second.  One basis
+    matrix per mode holds ``T_0..T_{n_mu - 1}`` at every point; the
+    coefficients are then contracted one mode at a time in blocks of
+    ``coeffs.shape[0]`` points, so no intermediate of the contraction is
+    larger than the coefficient tensor.
     """
     C = coeffs.data if isinstance(coeffs, DenseTensor) else np.asarray(coeffs, dtype=np.float64)
     pts = np.asarray(points, dtype=np.float64)
@@ -263,15 +318,19 @@ def cheb_reconstruct(coeffs, points) -> np.ndarray:
         pts = pts[None, :]
     if pts.shape[1] != C.ndim:
         raise ValueError(f"points of arity {pts.shape[1]} for a {C.ndim}-variate series")
+    if C.ndim == 0 or C.size == 0:
+        raise ValueError(f"coefficient tensor of shape {C.shape} has no entries")
+    bases = [_cheb_basis(pts[:, mu], n).T for mu, n in enumerate(C.shape)]
     out = np.empty(pts.shape[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k, p in enumerate(pts):
-            acc = C
-            for mu in range(C.ndim):
-                basis = np.array([chebyshev_eval(n, p[mu]) for n in range(C.shape[mu])])
-                acc = np.tensordot(basis, acc, axes=(0, 0))
-            out[k] = acc
+    block = C.shape[0]
+    for start in range(0, pts.shape[0], block):
+        rows = slice(start, start + block)
+        # (b, n_1) @ (n_1, n_2 ... n_d), then one batched matrix-vector product per mode
+        acc = bases[0][rows] @ C.reshape(C.shape[0], -1)
+        for mu in range(1, C.ndim):
+            acc = acc.reshape(acc.shape[0], C.shape[mu], -1)
+            acc = np.matmul(bases[mu][rows, None, :], acc)[:, 0, :]
+        out[rows] = acc[:, 0]
     return float(out[0]) if single else out
 
 

@@ -12,6 +12,10 @@ Binary layouts are little-endian and fully deterministic:
   dims, ``d+1`` u64 chain ranks (boundary 1s included), then the cores
   in storage order.
 
+Model files (CPD1, TUCK1, TTEN1) must hold finite values, positive dims
+and ranks, and a model their constructor accepts; anything else is a
+:class:`FormatError`.  Dense files may hold any float.
+
 A text twin ``.dtent`` (whitespace-separated ``d``, dims, values) makes
 dense fixtures hand-authorable.  Meshes are one ascending line of reals
 per mesh; polynomials are lines ``coeff e_1 ... e_d``.
@@ -82,10 +86,28 @@ class _Reader:
     def f64s(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
 
+    def finite_f64s(self, count: int) -> np.ndarray:
+        """Model values: a NaN or infinity is a malformed file, not a number."""
+        start = self.pos
+        values = self.f64s(count)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise FormatError(
+                f"{self.path}: non-finite value at byte offset {start + 8 * int(bad[0])}")
+        return values
+
     def done(self) -> None:
         if self.pos != len(self.data):
             raise FormatError(
                 f"{self.path}: {len(self.data) - self.pos} unexpected trailing bytes")
+
+
+def _build(path, make, *args):
+    """``make(*args)``, with the constructor's rejection reported as a format error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _pack_u64s(values) -> bytes:
@@ -121,10 +143,7 @@ def read_dense(path) -> DenseTensor:
             values = [float(t) for t in tokens[1 + d:]]
         except ValueError as exc:
             raise FormatError(f"{path}: malformed text tensor: {exc}") from exc
-        try:
-            return DenseTensor.from_flat(dims, values)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        return _build(path, DenseTensor.from_flat, dims, values)
     data = path.read_bytes()
     r = _Reader(data, _check_magic(data, MAGIC_DENSE, path), path)
     d = r.u32()
@@ -132,10 +151,7 @@ def read_dense(path) -> DenseTensor:
     n = int(np.prod(dims, dtype=np.int64)) if d else 0
     values = r.f64s(n)
     r.done()
-    try:
-        return DenseTensor.from_flat(dims, values)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _build(path, DenseTensor.from_flat, dims, values)
 
 
 def write_cp(cp: CPDecomposition, path) -> None:
@@ -153,10 +169,12 @@ def read_cp(path) -> CPDecomposition:
     d = r.u32()
     rank = r.u32()
     dims = r.u64s(d)
-    weights = r.f64s(rank)
-    factors = [r.f64s(n * rank).reshape(n, rank) for n in dims]
+    if not d or not rank or 0 in dims:
+        raise FormatError(f"{path}: order {d}, rank {rank} and dims {dims} must be positive")
+    weights = r.finite_f64s(rank)
+    factors = [r.finite_f64s(n * rank).reshape(n, rank) for n in dims]
     r.done()
-    return CPDecomposition(weights, factors)
+    return _build(path, CPDecomposition, weights, factors)
 
 
 def write_tucker(T: TuckerDecomposition, path) -> None:
@@ -174,10 +192,10 @@ def read_tucker(path) -> TuckerDecomposition:
     d = r.u32()
     dims = r.u64s(d)
     ranks = r.u64s(d)
-    core = r.f64s(int(np.prod(ranks, dtype=np.int64))).reshape(ranks)
-    factors = [r.f64s(n * k).reshape(n, k) for n, k in zip(dims, ranks)]
+    core = r.finite_f64s(int(np.prod(ranks, dtype=np.int64))).reshape(ranks)
+    factors = [r.finite_f64s(n * k).reshape(n, k) for n, k in zip(dims, ranks)]
     r.done()
-    return TuckerDecomposition(DenseTensor(core), factors)
+    return _build(path, TuckerDecomposition, core, factors)
 
 
 def write_tt(T: TTTensor, path) -> None:
@@ -197,10 +215,12 @@ def read_tt(path) -> TTTensor:
     chain = r.u64s(d + 1)
     if chain[0] != 1 or chain[-1] != 1:
         raise FormatError(f"{path}: boundary ranks must be 1, got {chain}")
-    cores = [r.f64s(chain[mu] * dims[mu] * chain[mu + 1]).reshape(
+    if 0 in chain or 0 in dims:
+        raise FormatError(f"{path}: dims {dims} and chain ranks {chain} must be positive")
+    cores = [r.finite_f64s(chain[mu] * dims[mu] * chain[mu + 1]).reshape(
         chain[mu], dims[mu], chain[mu + 1]) for mu in range(d)]
     r.done()
-    return TTTensor(cores)
+    return _build(path, TTTensor, cores)
 
 
 def read_decomposition(path):

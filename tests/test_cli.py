@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from tenslab import DenseTensor, additive_tt, zeros_tt
 from tenslab.cli import main
-from tenslab.io import read_dense, write_dense, write_tt, write_tucker
+from tenslab import CPDecomposition
+from tenslab.io import read_dense, write_cp, write_dense, write_tt, write_tucker
 from tenslab.tucker import TuckerDecomposition
 
 
@@ -191,6 +193,53 @@ class TestReconstructAndError:
                            "--out", str(tmp_path / "big.dten"))
         assert code == 4
         assert "cap" in err
+
+
+class TestMalformedModelFiles:
+    """A model file the model constructor would reject is an I/O error (exit 3)."""
+
+    def test_cp_non_unit_columns(self, capsys, tmp_path, rng):
+        cp = CPDecomposition.from_factors([rng.standard_normal((3, 2))] * 2)
+        cp.factors[0] *= 2.0
+        p = tmp_path / "m.cpd"
+        write_cp(cp, p)
+        code, _, err = run(capsys, "reconstruct", str(p), "--out", str(tmp_path / "o.dten"))
+        assert code == 3
+        assert "unit-norm" in err
+
+    def test_tucker_non_orthonormal_factors(self, capsys, tmp_path, rng):
+        U = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        tuck = TuckerDecomposition(DenseTensor(np.ones((2, 2))), [U, U.copy()])
+        tuck.factors[1][0, 0] += 0.5
+        p = tmp_path / "m.tuck"
+        write_tucker(tuck, p)
+        code, _, err = run(capsys, "reconstruct", str(p), "--out", str(tmp_path / "o.dten"))
+        assert code == 3
+        assert "orthonormal" in err
+
+    def test_tt_of_order_zero(self, capsys, tmp_path):
+        p = tmp_path / "m.tten"
+        p.write_bytes(b"TTEN1\n" + struct.pack("<IQ", 0, 1))
+        code, _, err = run(capsys, "tt", "z", str(p))
+        assert code == 3
+        assert "at least one core" in err
+
+    def test_tt_interior_rank_zero(self, capsys, tmp_path):
+        p = tmp_path / "m.tten"
+        p.write_bytes(b"TTEN1\n" + struct.pack("<I5Q", 2, 2, 2, 1, 0, 1))
+        code, _, err = run(capsys, "tt", "z", str(p))
+        assert code == 3
+        assert "must be positive" in err
+
+    def test_tt_nan_core(self, capsys, tmp_path):
+        T = additive_tt([np.ones(2), np.ones(3)])
+        T.cores[1][0, 1, 0] = np.nan
+        p = tmp_path / "m.tten"
+        write_tt(T, p)
+        code, out, err = run(capsys, "tt", "z", str(p))
+        assert code == 3
+        assert "non-finite" in err
+        assert out == ""
 
 
 class TestTTQueries:

@@ -1,7 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
 from tenslab import (
     CartesianGrid,
@@ -83,6 +87,18 @@ class TestDiscretize:
 
         with pytest.raises(ValueError, match=r"2\.0"):
             discretize(bad, CartesianGrid([Mesh([1.0, 2.0])]))
+
+    def test_poly_overflow_carries_grid_point(self):
+        P = MonomialPoly([(1.0, (3,))])
+        with pytest.raises(ValueError, match=r"1e\+200"):
+            discretize(P, CartesianGrid([Mesh([1.0, 1e200])]))
+
+    def test_other_callables_are_called_per_point(self):
+        # accepts arrays but is not elementwise: one call on the whole grid
+        # would return a single number
+        mx, my = [0.0, 2.0, 3.0], [1.0, 2.5]
+        out = discretize(lambda x, y: np.max([x, y]), CartesianGrid([mx, my]))
+        np.testing.assert_array_equal(out.data, np.maximum.outer(mx, my))
 
 
 class TestPolyCP:
@@ -181,19 +197,15 @@ class TestChebProject:
         expected[2, 1] = 0.5
         np.testing.assert_allclose(coeffs.data, expected, atol=1e-13)
 
-    def test_quadrature_oracle(self):
-        # independent check of the 1-D coefficients through the weighted
-        # integral (2 - delta_{n0})/pi * int f T_n / sqrt(1 - x^2)
-        from scipy.integrate import quad
-
-        f = lambda x: x ** 3 - 0.5 * x
-        coeffs = cheb_project(f, [4]).data
+    def test_power_basis_oracle(self):
+        # independent exact 1-D coefficients: numpy's power-to-Chebyshev
+        # conversion of x^3 - 0.5 x
+        coeffs = cheb_project(lambda x: x ** 3 - 0.5 * x, [4]).data
+        expected = np.zeros(5)
+        converted = npcheb.poly2cheb([0.0, -0.5, 0.0, 1.0])
+        expected[:len(converted)] = converted
         for n in range(5):
-            integrand = lambda x, n=n: f(x) * chebyshev_eval(n, x) / math.sqrt(
-                1 - x * x)
-            val, _ = quad(integrand, -1, 1)
-            expected = val / math.pi * (1.0 if n == 0 else 2.0)
-            assert coeffs[n] == pytest.approx(expected, abs=1e-10)
+            assert coeffs[n] == pytest.approx(expected[n], abs=1e-10)
 
     def test_accepts_monomial_poly(self):
         P = MonomialPoly([(1.0, (2,))])
@@ -249,3 +261,77 @@ class TestAffineRescale:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             affine_rescaled(lambda x: x, [(1.0, 1.0)])
+
+
+def _pointwise(P, grid):
+    out = np.empty(grid.shape)
+    for idx in itertools.product(*(range(n) for n in grid.shape)):
+        out[idx] = P(*grid.point([i + 1 for i in idx]))
+    return out
+
+
+@st.composite
+def _series_and_points(draw):
+    d = draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(d))
+    size = math.prod(shape)
+    C = np.array(draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size)))
+    npts = draw(st.integers(1, 12))
+    pts = draw(st.lists(st.floats(-1, 1), min_size=npts * d, max_size=npts * d))
+    return C.reshape(shape), np.array(pts).reshape(npts, d)
+
+
+class TestWholeGridPaths:
+    """The vectorized paths against per-point and independent references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_poly_grid_matches_pointwise_calls(self, data):
+        d = data.draw(st.integers(1, 4), label="arity")
+        mesh = st.lists(st.floats(-2, 2), min_size=1, max_size=4, unique=True).map(sorted)
+        grid = CartesianGrid([Mesh(data.draw(mesh)) for _ in range(d)])
+        absent = data.draw(st.none() | st.integers(0, d - 1), label="variable in no term")
+        exps = st.tuples(*(st.just(0) if mu == absent else st.integers(0, 5)
+                           for mu in range(d)))
+        terms = data.draw(st.lists(st.tuples(st.floats(-10, 10), exps),
+                                   min_size=1, max_size=5))
+        if data.draw(st.booleans(), label="zero polynomial"):
+            terms += [(-c, e) for c, e in terms]
+        P = MonomialPoly(terms)
+        out = discretize(P, grid).data
+        # bit for bit, signed zeros included
+        assert out.tobytes() == _pointwise(P, grid).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_series_and_points())
+    @example((np.array([2.5]), np.array([[0.3]])))
+    @example((np.arange(6.0).reshape(2, 1, 3), np.array([[0.1, -0.7, 0.9]])))
+    def test_cheb_reconstruct_matches_independent_evaluation(self, case):
+        C, pts = case
+        cols = list(pts.T)
+        if C.ndim == 1:
+            expected = npcheb.chebval(cols[0], C)
+        elif C.ndim == 2:
+            expected = npcheb.chebval2d(*cols, C)
+        elif C.ndim == 3:
+            expected = npcheb.chebval3d(*cols, C)
+        else:
+            T = [np.cos(np.outer(np.arccos(x), np.arange(n))) for x, n in zip(cols, C.shape)]
+            expected = np.einsum("pa,pb,pc,pe,abce->p", *T, C)
+        tol = 1e-13 * np.abs(C).sum()
+        np.testing.assert_allclose(cheb_reconstruct(C, pts), expected, rtol=0, atol=tol)
+        single = cheb_reconstruct(C, pts[0])
+        assert isinstance(single, float)
+        assert single == pytest.approx(expected[0], rel=0, abs=tol)
+
+    def test_cheb_reconstruct_memory_bounded(self, rng):
+        # contracting all 2000 points at once would hold 2000 * 11**4 values
+        C = rng.standard_normal((11,) * 5)
+        pts = rng.uniform(-1, 1, (2000, 5))
+        tracemalloc.start()
+        try:
+            cheb_reconstruct(C, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * C.nbytes
