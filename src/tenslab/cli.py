@@ -5,8 +5,8 @@ Subcommands: ``info``, ``decompose``, ``reconstruct``, ``error``,
 lines (the ``wall_time_s`` field is the only run-dependent one).  Exit
 codes: 0 success, 2 usage, 3 I/O or malformed file, 4 numeric failure.
 
-The densification guard defaults to ``TENSLAB_DENSE_CAP`` entries
-(``10**8`` if unset) and can be overridden with ``--dense-cap``.
+The densification guard of :mod:`tenslab.dense` (``--dense-cap``, else
+``TENSLAB_DENSE_CAP``, else ``10**8`` entries) exits 4 when it refuses.
 """
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ import numpy as np
 from . import io as tio
 from .cp import ALSOptions, CPDecomposition, cp_als, cp_reconstruct, \
     hyperdeterminant_222, rank222_classify
-from .dense import DenseTensor, matricize, norm, partition_sum
+from .dense import DenseCapError, DenseTensor, matricize, norm, partition_sum
 from .funcgrid import CartesianGrid, Mesh, MonomialPoly, discretize, poly_discretize_cp
-from .linalg import svd_to_tolerance
+from .linalg import check_tolerance, svd_to_tolerance
 from .tt import TTTensor, tt_entry, tt_marginal, tt_partition, tt_reconstruct, tt_svd
 from .tucker import TuckerDecomposition, hooi, hosvd, tucker_reconstruct
 
@@ -72,6 +72,7 @@ def cmd_info(args) -> int:
 
 
 def _hosvd_ranks_for_tol(A: DenseTensor, tol: float) -> list[int]:
+    check_tolerance(tol, "--tol")
     # per-mode tolerance split so the stacked tails stay within tol
     per_mode = tol / math.sqrt(A.order)
     return [svd_to_tolerance(matricize(A, mu).data, per_mode).rank
@@ -86,7 +87,6 @@ def cmd_decompose(args) -> int:
     if (args.rank is None) == (args.tol is None):
         raise UsageError("give exactly one of --rank and --tol")
     ranks = _parse_int_list(args.rank, "--rank") if args.rank is not None else None
-    d = A.order
     extra_lines: list[str] = []
 
     if args.method == "cp":
@@ -104,12 +104,7 @@ def cmd_decompose(args) -> int:
         if trace.flagged_sweeps:
             extra_lines.append("flagged_sweeps=" + _fmt_list(trace.flagged_sweeps))
     elif args.method in ("hosvd", "hooi"):
-        if ranks is not None:
-            if len(ranks) != d:
-                raise UsageError(f"{args.method} needs {d} ranks for order {d}")
-            if any(not 1 <= r <= n for r, n in zip(ranks, A.dims)):
-                raise UsageError(f"ranks {ranks} out of range for dims {A.dims}")
-        else:
+        if ranks is None:
             ranks = _hosvd_ranks_for_tol(A, args.tol)
         requested = ranks
         if args.method == "hosvd":
@@ -123,8 +118,6 @@ def cmd_decompose(args) -> int:
         tio.write_tucker(tuck, args.out)
         achieved = list(tuck.ranks)
     elif args.method == "tt":
-        if ranks is not None and len(ranks) != d - 1:
-            raise UsageError(f"tt needs {d - 1} interior ranks for order {d}")
         T, quality = tt_svd(A, ranks=ranks, rel_tol=args.tol)
         tio.write_tt(T, args.out)
         achieved = list(T.ranks)
@@ -135,9 +128,7 @@ def cmd_decompose(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown method {args.method}")
 
-    recon = _densify(tio.read_decomposition(args.out), args.dense_cap)
-    denom = norm(A)
-    rel_error = norm(DenseTensor(A.data - recon.data)) / denom if denom > 0 else 0.0
+    rel_error = _rel_error(A, _densify(tio.read_decomposition(args.out), args.dense_cap))
 
     print(f"method={args.method}")
     print(f"input={args.input}")
@@ -156,22 +147,20 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _rel_error(A: DenseTensor, recon: DenseTensor) -> float:
+    denom = norm(A)
+    return norm(DenseTensor(A.data - recon.data)) / denom if denom > 0 else 0.0
+
+
 def _densify(obj, cap) -> DenseTensor:
-    from .tt import dense_cap
     if isinstance(obj, DenseTensor):
         return obj
-    limit = dense_cap(cap)
-    total = math.prod(obj.dims)
-    if total > limit:
-        raise NumericError(
-            f"refusing to densify {total} entries (cap {limit}); "
-            f"use --dense-cap to override")
     if isinstance(obj, CPDecomposition):
-        return cp_reconstruct(obj)
+        return cp_reconstruct(obj, cap)
     if isinstance(obj, TuckerDecomposition):
-        return tucker_reconstruct(obj)
+        return tucker_reconstruct(obj, cap)
     if isinstance(obj, TTTensor):
-        return tt_reconstruct(obj, limit)
+        return tt_reconstruct(obj, cap)
     raise UsageError(f"cannot densify object of type {type(obj).__name__}")
 
 
@@ -192,9 +181,7 @@ def cmd_error(args) -> int:
         raise UsageError(
             f"dims mismatch: reference {_fmt_dims(A.dims)} vs "
             f"reconstruction {_fmt_dims(recon.dims)}")
-    denom = norm(A)
-    rel = norm(DenseTensor(A.data - recon.data)) / denom if denom > 0 else 0.0
-    print(f"rel_error={_fmt(rel)}")
+    print(f"rel_error={_fmt(_rel_error(A, recon))}")
     return EXIT_OK
 
 
@@ -372,7 +359,7 @@ def main(argv=None) -> int:
     except (OSError, tio.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericError as exc:
+    except (NumericError, DenseCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, inner, matricize, norm, tensor_product
+from .dense import DenseTensor, as_tensor, check_dense_cap, inner, matricize, norm, \
+    tensor_product
 from .linalg import RANK_CUTOFF, cp_product, khatri_rao, pseudo_inverse
 from . import tucker as _tucker
 
@@ -97,8 +98,9 @@ class CPDecomposition:
         return tuple(X.shape[0] for X in self.factors)
 
 
-def cp_reconstruct(cp: CPDecomposition) -> DenseTensor:
-    """Densify: the weighted sum of rank-one terms."""
+def cp_reconstruct(cp: CPDecomposition, cap: int | None = None) -> DenseTensor:
+    """Densify, within the cap: the weighted sum of rank-one terms."""
+    check_dense_cap(cp.dims, cap)
     return cp_product(cp.factors, cp.weights)
 
 

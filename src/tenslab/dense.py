@@ -12,17 +12,24 @@ Conventions used across the package:
 * multi-indices handed to ``entry``-style accessors are 1-based as well,
 * raw ``numpy`` arrays are accepted anywhere a :class:`DenseTensor` is,
   and ``.data`` exposes the underlying (C-contiguous, float64) array.
+
+Every densification of a model passes :func:`check_dense_cap` (at most a
+``cap`` argument, else ``TENSLAB_DENSE_CAP``, else ``10**8`` entries).
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "DenseTensor",
+    "DenseCapError",
+    "dense_cap",
+    "check_dense_cap",
     "Permutation",
     "as_tensor",
     "permute_modes",
@@ -131,6 +138,28 @@ class DenseTensor:
 def as_tensor(A) -> DenseTensor:
     """Coerce an array-like into a :class:`DenseTensor` (no copy if already one)."""
     return A if isinstance(A, DenseTensor) else DenseTensor(A)
+
+
+DEFAULT_DENSE_CAP = 10 ** 8
+
+
+class DenseCapError(ValueError):
+    """A densification would produce more entries than the cap allows."""
+
+
+def dense_cap(override: int | None = None) -> int:
+    """Densification guard: max entries a reconstruction may produce."""
+    if override is not None:
+        return int(override)
+    return int(os.environ.get("TENSLAB_DENSE_CAP", DEFAULT_DENSE_CAP))
+
+
+def check_dense_cap(dims: Sequence[int], cap: int | None = None) -> None:
+    """Raise :class:`DenseCapError` if a tensor of ``dims`` exceeds the cap."""
+    total, limit = math.prod(dims), dense_cap(cap)
+    if total > limit:
+        raise DenseCapError(f"refusing to densify {total} entries (cap {limit}); "
+                            f"raise the cap explicitly to override")
 
 
 def _check_multi_index(index: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ per mesh; polynomials are lines ``coeff e_1 ... e_d``.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -148,7 +149,7 @@ def read_dense(path) -> DenseTensor:
     r = _Reader(data, _check_magic(data, MAGIC_DENSE, path), path)
     d = r.u32()
     dims = r.u64s(d)
-    n = int(np.prod(dims, dtype=np.int64)) if d else 0
+    n = math.prod(dims) if d else 0
     values = r.f64s(n)
     r.done()
     return _build(path, DenseTensor.from_flat, dims, values)
@@ -192,7 +193,9 @@ def read_tucker(path) -> TuckerDecomposition:
     d = r.u32()
     dims = r.u64s(d)
     ranks = r.u64s(d)
-    core = r.finite_f64s(int(np.prod(ranks, dtype=np.int64))).reshape(ranks)
+    if not d or 0 in dims or 0 in ranks:
+        raise FormatError(f"{path}: order {d}, dims {dims} and ranks {ranks} must be positive")
+    core = r.finite_f64s(math.prod(ranks)).reshape(ranks)
     factors = [r.finite_f64s(n * k).reshape(n, k) for n, k in zip(dims, ranks)]
     r.done()
     return _build(path, TuckerDecomposition, core, factors)
@@ -228,7 +231,8 @@ def read_decomposition(path):
     path = Path(path)
     if path.suffix == ".dtent":
         return read_dense(path)
-    head = path.read_bytes()[:6]
+    with path.open("rb") as f:
+        head = f.read(len(MAGIC_DENSE))
     for magic, reader in ((MAGIC_CP, read_cp), (MAGIC_TUCKER, read_tucker),
                           (MAGIC_TT, read_tt), (MAGIC_DENSE, read_dense)):
         if head[:len(magic)] == magic:

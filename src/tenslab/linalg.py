@@ -4,6 +4,8 @@ pseudo-inverse, CUR sampling, Kronecker-family products, ball volumes.
 Every decomposition engine in this package reduces to the routines here.
 ``svd`` fixes the usual sign ambiguity (largest-magnitude entry of each
 left singular vector made nonnegative) so that goldens are reproducible.
+Every truncation to a tolerance goes through :func:`check_tolerance`
+(finite and >= 0) and :func:`truncation_rank` (the one rank rule).
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ __all__ = [
     "svd",
     "truncated_svd",
     "svd_to_tolerance",
+    "check_tolerance",
+    "truncation_rank",
     "pseudo_inverse",
     "kronecker",
     "khatri_rao",
@@ -106,22 +110,34 @@ def truncated_svd(M, r: int) -> SVDResult:
     return full.truncate(r)
 
 
+def check_tolerance(rel_tol: float, name: str = "rel_tol") -> None:
+    """Reject a relative tolerance that is not finite and >= 0."""
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {rel_tol!r}")
+
+
+def truncation_rank(s, max_rank: int | None = None, budget: float | None = None) -> int:
+    """Smallest ``r`` with ``sum(s[r:]**2) <= budget`` (a squared tail),
+    capped at ``max_rank``, and at least 1."""
+    r = len(s)
+    if budget is not None:
+        tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1][1:], [0.0]])
+        r = int(np.argmax(tails <= budget)) + 1
+    if max_rank is not None:
+        r = min(r, max_rank)
+    return max(r, 1)
+
+
 def svd_to_tolerance(M, rel_tol: float) -> SVDResult:
     """Smallest truncation whose tail satisfies
-    ``sum(s[r:]**2) <= rel_tol**2 * sum(s**2)``.
+    ``sum(s[r:]**2) <= rel_tol**2 * sum(s**2)``, at least rank 1.
 
-    ``rel_tol = 0`` keeps the full rank.
+    ``rel_tol = 0`` drops only exactly-zero singular values.
     """
-    if not 0 <= rel_tol < 1:
-        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
+    check_tolerance(rel_tol)
     full = svd(M)
-    total = float(np.sum(full.singular_values ** 2))
-    if total == 0.0 or rel_tol == 0.0:
-        return full
-    budget = rel_tol ** 2 * total
-    tail = np.concatenate([np.cumsum(full.singular_values[::-1] ** 2)[::-1][1:], [0.0]])
-    r = int(np.argmax(tail <= budget)) + 1
-    return full.truncate(max(r, 1))
+    budget = rel_tol ** 2 * float(np.sum(full.singular_values ** 2))
+    return full.truncate(truncation_rank(full.singular_values, budget=budget))
 
 
 def pseudo_inverse(M, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:

@@ -9,25 +9,26 @@ of small matrix products, densifying nothing.
 ``tt_svd`` decomposes or approximates a dense tensor by a sweep of
 truncated SVDs; ``tt_add`` / ``tt_hadamard`` combine trains without
 leaving the format; ``tt_round`` recompresses a train whose ranks grew.
+A tolerance gives each of their ``d-1`` SVDs the tail budget
+``rel_tol * ||A|| / sqrt(d-1)`` (Oseledets, SISC 2011), spent by
+:func:`tenslab.linalg.truncation_rank`.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, norm
-from .linalg import svd as _svd
+from .dense import DenseTensor, as_tensor, check_dense_cap, norm
+from .dense import dense_cap  # noqa: F401  (still importable from here)
+from .linalg import check_tolerance, truncation_rank, svd as _svd
 from .cp import CPDecomposition
 
 __all__ = [
     "TTTensor",
     "TTQuality",
-    "DEFAULT_DENSE_CAP",
-    "dense_cap",
     "tt_svd",
     "tt_entry",
     "tt_reconstruct",
@@ -41,17 +42,6 @@ __all__ = [
     "additive_tt",
     "zeros_tt",
 ]
-
-DEFAULT_DENSE_CAP = 10 ** 8
-_DENSE_CAP_ENV = "TENSLAB_DENSE_CAP"
-
-
-def dense_cap(override: int | None = None) -> int:
-    """Densification guard: max entries a reconstruction may produce."""
-    if override is not None:
-        return int(override)
-    return int(os.environ.get(_DENSE_CAP_ENV, DEFAULT_DENSE_CAP))
-
 
 class TTTensor:
     """Chain of order-3 cores ``G_mu`` of shape ``(r_{mu-1}, n_mu, r_mu)``.
@@ -132,16 +122,20 @@ class TTQuality:
         return float(np.prod(self.step_qualities)) if self.step_qualities else 1.0
 
 
-def _truncation_rank(s: np.ndarray, max_rank: int | None, abs_tail: float | None) -> int:
-    """Smallest kept rank honoring a hard cap and/or an absolute l2 tail."""
-    k = len(s)
-    r = k
-    if abs_tail is not None:
-        tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1][1:], [0.0]])
-        r = int(np.argmax(tails <= abs_tail ** 2)) + 1
-    if max_rank is not None:
-        r = min(r, max_rank)
-    return max(r, 1)
+def _check_targets(d: int, ranks, rel_tol) -> list:
+    """Check ``tt_svd``/``tt_round`` targets; returns the per-step rank caps."""
+    if ranks is not None and rel_tol is not None:
+        raise ValueError("give target ranks or a tolerance, not both")
+    if rel_tol is not None:
+        check_tolerance(rel_tol)
+    if ranks is None:
+        return [None] * (d - 1)
+    ranks = [int(r) for r in ranks]
+    if len(ranks) != d - 1:
+        raise ValueError(f"need {d - 1} interior ranks, got {len(ranks)}")
+    if any(r < 1 for r in ranks):
+        raise ValueError("ranks must be >= 1")
+    return ranks
 
 
 def tt_svd(A, ranks: Sequence[int] | None = None,
@@ -163,20 +157,9 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
     A = as_tensor(A)
     d = A.order
     dims = A.dims
-    if ranks is not None and rel_tol is not None:
-        raise ValueError("give target ranks or a tolerance, not both")
-    if ranks is not None:
-        ranks = [int(r) for r in ranks]
-        if len(ranks) != d - 1:
-            raise ValueError(f"need {d - 1} interior ranks, got {len(ranks)}")
-        if any(r < 1 for r in ranks):
-            raise ValueError("ranks must be >= 1")
+    ranks = _check_targets(d, ranks, rel_tol)
     norm_a = norm(A)
-    abs_tail = None
-    if rel_tol is not None:
-        if rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
-        abs_tail = rel_tol * norm_a / math.sqrt(max(d - 1, 1))
+    budget = None if rel_tol is None else (rel_tol * norm_a / math.sqrt(max(d - 1, 1))) ** 2
 
     if d == 1:
         core = A.data.reshape(1, dims[0], 1)
@@ -193,9 +176,7 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
         W = W.reshape(r_prev * n_mu, -1)
         res = _svd(W)
         energy_before = float(np.sum(res.singular_values ** 2))
-        r = _truncation_rank(res.singular_values,
-                             ranks[mu] if ranks is not None else None,
-                             abs_tail)
+        r = truncation_rank(res.singular_values, ranks[mu], budget)
         kept = res.truncate(r)
         tail = res.tail_energy(r)
         cores.append(kept.U.reshape(r_prev, n_mu, r))
@@ -226,12 +207,7 @@ def tt_entry(T: TTTensor, index: Sequence[int]) -> float:
 
 def tt_reconstruct(T: TTTensor, cap: int | None = None) -> DenseTensor:
     """Densify the train by the reverse cascade of its construction."""
-    total = math.prod(T.dims)
-    limit = dense_cap(cap)
-    if total > limit:
-        raise ValueError(
-            f"refusing to densify {total} entries (cap {limit}); "
-            f"raise the cap explicitly to override")
+    check_dense_cap(T.dims, cap)
     out = T.cores[0].reshape(T.dims[0], -1)          # (n_1, r_1)
     for G in T.cores[1:]:
         r_prev, n, r = G.shape
@@ -295,17 +271,10 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
     Rounding a train back to (at least) its true ranks preserves the
     entries up to roundoff.
     """
-    if ranks is not None and rel_tol is not None:
-        raise ValueError("give target ranks or a tolerance, not both")
     d = T.order
+    ranks = _check_targets(d, ranks, rel_tol)
     if d == 1:
         return TTTensor([G.copy() for G in T.cores])
-    if ranks is not None:
-        ranks = [int(r) for r in ranks]
-        if len(ranks) != d - 1:
-            raise ValueError(f"need {d - 1} interior ranks, got {len(ranks)}")
-        if any(r < 1 for r in ranks):
-            raise ValueError("ranks must be >= 1")
 
     cores = [G.copy() for G in T.cores]
     # right-to-left: make every core but the first row-orthogonal
@@ -318,21 +287,14 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
         cores[mu - 1] = np.tensordot(cores[mu - 1], R.T, axes=(2, 0))
 
     norm_t = float(np.linalg.norm(cores[0]))  # all later cores are orthogonal now
-    abs_tail = None
-    if rel_tol is not None:
-        if rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
-        abs_tail = rel_tol * norm_t / math.sqrt(d - 1)
+    budget = None if rel_tol is None else (rel_tol * norm_t / math.sqrt(d - 1)) ** 2
 
     # left-to-right: truncate
     for mu in range(d - 1):
         r_prev, n, r = cores[mu].shape
         M = cores[mu].reshape(r_prev * n, r)
         res = _svd(M)
-        k = _truncation_rank(res.singular_values,
-                             ranks[mu] if ranks is not None else None,
-                             abs_tail)
-        k = min(k, res.rank)
+        k = truncation_rank(res.singular_values, ranks[mu], budget)
         kept = res.truncate(k)
         cores[mu] = kept.U.reshape(r_prev, n, k)
         carry = kept.singular_values[:, None] * kept.V.T

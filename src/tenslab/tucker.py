@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, matricize, norm
+from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
 from .linalg import svd
 
 __all__ = [
@@ -94,8 +94,9 @@ def multilinear_apply(A, mats: Sequence[np.ndarray], transpose=False) -> DenseTe
     return DenseTensor(out)
 
 
-def tucker_reconstruct(T: TuckerDecomposition) -> DenseTensor:
-    """Densify by applying the factors (untransposed) to the core."""
+def tucker_reconstruct(T: TuckerDecomposition, cap: int | None = None) -> DenseTensor:
+    """Densify by applying the factors (untransposed) to the core, within the cap."""
+    check_dense_cap(T.dims, cap)
     return multilinear_apply(T.core, T.factors, transpose=False)
 
 

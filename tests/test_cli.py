@@ -362,3 +362,76 @@ class TestDeterminism:
             outputs.append((stable, fit.read_bytes()))
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
+
+
+class TestTolerance:
+    """What ``--tol`` bounds per method, and which values it accepts."""
+
+    @pytest.fixture
+    def planted_tucker(self, rng, tmp_path):
+        # 12^3 at multilinear ranks (3,3,3) plus 1e-3 relative noise
+        factors = [np.linalg.qr(rng.standard_normal((12, 3)))[0] for _ in range(3)]
+        A = np.einsum("abc,ia,jb,kc->ijk", rng.standard_normal((3, 3, 3)), *factors)
+        noise = rng.standard_normal(A.shape)
+        A += 1e-3 * np.linalg.norm(A) / np.linalg.norm(noise) * noise
+        p = tmp_path / "planted.dten"
+        write_dense(DenseTensor(A), p)
+        return p
+
+    @pytest.mark.parametrize("method", ["hosvd", "hooi"])
+    def test_tucker_tol_finds_planted_ranks(self, capsys, tmp_path, planted_tucker, method):
+        code, out, _ = run(capsys, "decompose", str(planted_tucker), "--method", method,
+                           "--tol", "1e-2", "--out", str(tmp_path / "t.tuck"))
+        assert code == 0
+        rep = report(out)
+        assert rep["achieved_rank"] == "3,3,3"
+        assert float(rep["rel_error"]) <= 1e-2
+
+    @pytest.mark.parametrize("method", ["tt", "hosvd", "hooi"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])
+    def test_bad_tol_is_usage_error_naming_the_value(self, capsys, tmp_path,
+                                                     planted_tucker, method, tol):
+        out_file = tmp_path / "x.bin"
+        code, _, err = run(capsys, "decompose", str(planted_tucker), "--method", method,
+                           "--tol", tol, "--out", str(out_file))
+        assert code == 2
+        assert f"got {tol}" in err
+        assert not out_file.exists()
+
+    def test_tucker_tol_above_one_keeps_rank_one(self, capsys, tmp_path, planted_tucker):
+        code, out, _ = run(capsys, "decompose", str(planted_tucker), "--method", "hosvd",
+                           "--tol", "2", "--out", str(tmp_path / "t.tuck"))
+        assert code == 0
+        assert report(out)["achieved_rank"] == "1,1,1"
+
+    @pytest.mark.parametrize("method", ["hosvd", "hooi"])
+    def test_zero_tensor_keeps_rank_one(self, capsys, tmp_path, method):
+        p = tmp_path / "zero.dten"
+        write_dense(DenseTensor(np.zeros((3, 3, 3))), p)
+        code, out, _ = run(capsys, "decompose", str(p), "--method", method,
+                           "--tol", "0.1", "--out", str(tmp_path / "z.tuck"))
+        assert code == 0
+        rep = report(out)
+        assert rep["achieved_rank"] == "1,1,1"
+        assert float(rep["rel_error"]) == 0.0
+
+
+class TestDenseCapEveryFormat:
+    @pytest.mark.parametrize("suffix", ["cpd", "tuck"])
+    def test_reconstruct_above_cap_is_numeric_failure(self, capsys, tmp_path, rng, suffix):
+        A = DenseTensor(rng.standard_normal((10, 10, 10)))
+        src = tmp_path / "a.dten"
+        write_dense(A, src)
+        method, rank = {"cpd": ("cp", "2"), "tuck": ("hosvd", "2,2,2")}[suffix]
+        fit = tmp_path / f"fit.{suffix}"
+        code, _, _ = run(capsys, "decompose", str(src), "--method", method,
+                         "--rank", rank, "--out", str(fit))
+        assert code == 0
+        out = tmp_path / "back.dten"
+        code, _, err = run(capsys, "--dense-cap", "999", "reconstruct", str(fit),
+                           "--out", str(out))
+        assert code == 4
+        assert "cap 999" in err
+        assert not out.exists()
+        code, _, err = run(capsys, "--dense-cap", "999", "error", str(src), str(fit))
+        assert code == 4

@@ -298,3 +298,16 @@ class TestBorderRank:
         ys_bad = [2.0 * xs[0], ys[1], ys[2]]
         with pytest.raises(ValueError):
             border_rank_demo(xs, ys_bad, 1.0)
+
+
+class TestDenseCap:
+    def test_reconstruct_refuses_above_cap(self, rng, monkeypatch):
+        from tenslab.dense import DenseCapError
+
+        cp = random_cp(rng, (10, 10, 10), 2)
+        with pytest.raises(DenseCapError, match="cap 999"):
+            cp_reconstruct(cp, cap=999)
+        monkeypatch.setenv("TENSLAB_DENSE_CAP", "123")
+        with pytest.raises(DenseCapError, match="cap 123"):
+            cp_reconstruct(cp)
+        assert cp_reconstruct(cp, cap=1000).dims == (10, 10, 10)

@@ -1,5 +1,10 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenslab import (
     CPDecomposition,
@@ -27,6 +32,7 @@ from tenslab.io import (
     write_tucker,
 )
 from tenslab.funcgrid import Mesh
+from tenslab.tucker import TuckerDecomposition
 
 
 class TestDenseFormats:
@@ -173,3 +179,100 @@ class TestTextFormats:
         p.write_text("1.0 a b\n")
         with pytest.raises(FormatError, match=":1:"):
             read_poly(p)
+
+
+def _valid_model_files() -> list[bytes]:
+    """One small valid file of each binary format, as bytes."""
+    rng = np.random.default_rng(7)
+    A = DenseTensor(rng.standard_normal((3, 2, 2)))
+    writers = [
+        (write_dense, A),
+        (write_cp, CPDecomposition.from_factors([rng.standard_normal((n, 2)) for n in A.dims])),
+        (write_tucker, hosvd(A, (2, 2, 2))[0]),
+        (write_tt, tt_svd(A, ranks=(2, 2))[0]),
+    ]
+    blobs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.bin"
+        for write, obj in writers:
+            write(obj, p)
+            blobs.append(p.read_bytes())
+    return blobs
+
+
+VALID_MODEL_FILES = _valid_model_files()
+
+
+def _parses_or_format_error(blob: bytes, path) -> None:
+    path.write_bytes(blob)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):   # huge but finite values
+            read_decomposition(path)
+    except FormatError:
+        pass
+
+
+class TestHostileFiles:
+    """Any byte string either parses or is a FormatError (exit 3), and nothing
+    allocates what a header claims before the bytes are there."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "f.bin"
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300)
+    def test_arbitrary_bytes(self, fuzz_path, blob):
+        _parses_or_format_error(blob, fuzz_path)
+
+    @given(st.sampled_from(VALID_MODEL_FILES),
+           st.lists(st.tuples(st.integers(min_value=0), st.binary(min_size=1, max_size=8)),
+                    max_size=4),
+           st.none() | st.integers(min_value=0))
+    @settings(max_examples=600)
+    def test_mutated_valid_files(self, fuzz_path, valid, edits, cut):
+        blob = bytearray(valid)
+        for pos, chunk in edits:
+            pos %= len(blob) + 1
+            blob[pos:pos + len(chunk)] = chunk
+        if cut is not None:
+            del blob[cut % (len(blob) + 1):]
+        _parses_or_format_error(bytes(blob), fuzz_path)
+
+    def test_tucker_ranks_whose_product_wraps(self, tmp_path, rng):
+        # ranks (2**40, 2**40): their product wraps to 0 in 64-bit integers
+        U = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        p = tmp_path / "m.tuck"
+        write_tucker(TuckerDecomposition(DenseTensor(np.ones((2, 2))), [U, U.copy()]), p)
+        blob = bytearray(p.read_bytes())
+        ranks_at = 6 + 4 + 2 * 8
+        blob[ranks_at:ranks_at + 16] = struct.pack("<2Q", 2 ** 40, 2 ** 40)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="truncated"):
+            read_tucker(p)
+
+    def test_dense_dims_whose_product_wraps(self, tmp_path):
+        p = tmp_path / "a.dten"
+        write_dense(DenseTensor(np.ones((2, 2))), p)
+        blob = bytearray(p.read_bytes())
+        blob[10:26] = struct.pack("<2Q", 2 ** 40, 2 ** 40)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="truncated"):
+            read_dense(p)
+
+
+class TestReadCost:
+    def test_read_decomposition_reads_the_file_once(self, tmp_path, rng, monkeypatch):
+        T, _ = tt_svd(rng.standard_normal((4, 4, 4)), ranks=(2, 2))
+        p = tmp_path / "t.tten"
+        write_tt(T, p)
+        calls = []
+        original = Path.read_bytes
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        read_decomposition(p)
+        assert len(calls) == 1

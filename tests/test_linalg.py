@@ -277,3 +277,37 @@ class TestBallVolume:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             ball_volume(0, 2)
+
+
+class TestRankRule:
+    """One rank rule and one tolerance check for every truncating caller."""
+
+    def test_tolerance_of_one_or_more_keeps_rank_one(self, rng):
+        M = rng.standard_normal((6, 5))
+        for tol in (1.0, 2.0, 1e6):
+            assert svd_to_tolerance(M, tol).rank == 1
+
+    def test_tolerance_zero_drops_exact_zero_singular_values(self, rng):
+        M = np.outer(rng.standard_normal(5), rng.standard_normal(4))
+        M[:, 0] = 0.0
+        s = svd(M).singular_values
+        expected = max(int(np.count_nonzero(s)), 1)
+        assert svd_to_tolerance(M, 0.0).rank == expected
+        assert svd_to_tolerance(np.zeros((4, 3)), 0.0).rank == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.1])
+    def test_rejected_tolerance_is_named(self, rng, tol):
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            svd_to_tolerance(rng.standard_normal((3, 3)), tol)
+
+    def test_rule_caps_and_floors(self):
+        from tenslab.linalg import truncation_rank
+
+        s = np.array([3.0, 2.0, 1.0, 0.0])
+        assert truncation_rank(s) == 4
+        assert truncation_rank(s, budget=0.0) == 3
+        assert truncation_rank(s, budget=1.0) == 2
+        assert truncation_rank(s, budget=5.0) == 1
+        assert truncation_rank(s, budget=1e9) == 1
+        assert truncation_rank(s, max_rank=2, budget=0.0) == 2
+        assert truncation_rank(np.zeros(3), budget=0.0) == 1

@@ -363,3 +363,25 @@ class TestAdditive:
     def test_needs_two_modes(self, rng):
         with pytest.raises(ValueError):
             additive_tt([rng.standard_normal(3)])
+
+
+class TestTargets:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_round_rejects_bad_tolerance(self, rng, tol):
+        T = random_tt(rng, (3, 3, 3), (2, 2))
+        with pytest.raises(ValueError, match="rel_tol"):
+            tt_round(T, rel_tol=tol)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_svd_rejects_bad_tolerance(self, rng, tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            tt_svd(rng.standard_normal((3, 3, 3)), rel_tol=tol)
+
+    @pytest.mark.parametrize("kwargs", [dict(ranks=(2,)), dict(ranks=(2, 0)),
+                                        dict(ranks=(2, 2), rel_tol=0.1)])
+    def test_round_and_svd_share_the_rank_checks(self, rng, kwargs):
+        T = random_tt(rng, (3, 3, 3), (2, 2))
+        with pytest.raises(ValueError):
+            tt_round(T, **kwargs)
+        with pytest.raises(ValueError):
+            tt_svd(tt_reconstruct(T), **kwargs)

@@ -175,3 +175,16 @@ class TestHOOI:
             np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-10)
         assert norm(A) ** 2 == pytest.approx(norm(tuck.core) ** 2 + trace[-1] ** 2,
                                              rel=1e-9)
+
+
+class TestDenseCap:
+    def test_reconstruct_refuses_above_cap(self, rng, monkeypatch):
+        from tenslab.dense import DenseCapError
+
+        tuck, _ = hosvd(rng.standard_normal((10, 10, 10)), (2, 2, 2))
+        with pytest.raises(DenseCapError, match="cap 999"):
+            tucker_reconstruct(tuck, cap=999)
+        monkeypatch.setenv("TENSLAB_DENSE_CAP", "123")
+        with pytest.raises(DenseCapError, match="cap 123"):
+            tucker_reconstruct(tuck)
+        assert tucker_reconstruct(tuck, cap=1000).dims == (10, 10, 10)
