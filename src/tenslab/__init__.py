@@ -42,7 +42,6 @@ from .cp import (
     best_rank_one,
     border_rank_demo,
     cp_als,
-    cp_als_naive,
     cp_rank_lower_bound,
     cp_reconstruct,
     hyperdeterminant_222,

@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     except (OSError, tio.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, DenseCapError) as exc:
+    except (NumericError, DenseCapError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,9 +1,14 @@
 """CP (Candecomp/Parafac) representation and alternating least squares.
 
-The normative fitting routine is :func:`cp_als`, which updates one whole
-factor matrix at a time (each block update is an exact least-squares
-solve).  :func:`cp_als_naive` updates one column vector at a time and is
-kept as a slower pedagogical variant.  Rank diagnostics for the
+The fitting routine is :func:`cp_als`, which updates one whole factor
+matrix at a time (each block update is an exact least-squares solve).
+It records the objective after every block update without densifying
+the model: with ``U`` the Khatri-Rao product of the other factors,
+``G = U.T U``, ``rhs = A_(mu).T U`` and the unnormalized update ``Y``,
+``||A - M||**2 = ||A||**2 - 2 sum(Y * rhs) + sum((Y.T Y) * G)``
+(Kolda & Bader, SIAM Review 2009, section 3.4).  That sum cancels once
+the fit nears roundoff, so at or below ``1e-8 * ||A||**2`` the
+objective is recomputed from the dense model.  Rank diagnostics for the
 ``2 x 2 x 2`` case (hyperdeterminant sign), a dimension-count lower
 bound and the classic border-rank demonstrator live here as well.
 """
@@ -16,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, check_dense_cap, inner, matricize, norm, \
-    tensor_product
+from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
 from .linalg import RANK_CUTOFF, cp_product, khatri_rao, pseudo_inverse
 from . import tucker as _tucker
+from .tucker import _IDENTITY_GUARD, ALSOptions
 
 __all__ = [
     "CPDecomposition",
@@ -27,7 +32,6 @@ __all__ = [
     "ALSTrace",
     "cp_reconstruct",
     "cp_als",
-    "cp_als_naive",
     "best_rank_one",
     "hyperdeterminant_222",
     "rank222_classify",
@@ -105,31 +109,14 @@ def cp_reconstruct(cp: CPDecomposition, cap: int | None = None) -> DenseTensor:
 
 
 @dataclass
-class ALSOptions:
-    """Knobs shared by the alternating solvers.
-
-    A sweep stops the iteration when the objective decrease over the
-    sweep drops below ``rel_tol * ||A||**2``.
-    """
-
-    max_sweeps: int = 100
-    rel_tol: float = 1e-12
-    seed: int = 0
-    init: str = "random"          # "random" | "hosvd"
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
-
-
-@dataclass
 class ALSTrace:
     """Objective values recorded during a fit.
 
     ``per_block`` holds ``||A - recon||**2`` after every block update;
-    ``per_sweep`` its value at the end of each full sweep.
+    ``per_sweep`` its value at the end of each full sweep.  ``initial``
+    is computed from the dense model; each later value from the Gram
+    identity of the block update, or, when that value is at most
+    ``1e-8 * ||A||**2``, from the dense model again.
     """
 
     initial: float
@@ -183,7 +170,9 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     minimizer ``X = A.T @ U @ inv(U.T U)`` is taken (pseudo-inverse when
     the Gram matrix is ill-conditioned, with the sweep flagged).  Factor
     columns are renormalized into the weights after each update, so the
-    objective is non-increasing across block updates.
+    objective is non-increasing across block updates.  The objective
+    after each update comes from the Gram identity in the module
+    docstring; the fit stops early once it is exactly zero.
     """
     A = as_tensor(A)
     if r < 1:
@@ -198,11 +187,11 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     weights = np.ones(r)
     unfolds = [matricize(A, mu).data for mu in range(1, d + 1)]
 
-    def objective() -> float:
+    def dense_objective() -> float:
         recon = cp_product(factors, weights)
         return norm(DenseTensor(A.data - recon.data)) ** 2
 
-    trace = ALSTrace(initial=objective())
+    trace = ALSTrace(initial=dense_objective())
     prev = trace.initial
     for sweep in range(opts.max_sweeps):
         flagged = False
@@ -224,12 +213,17 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
                 if col_norms[a] > 0:
                     factors[mu0][:, a] = Y[:, a] / col_norms[a]
             weights = col_norms
-            trace.per_block.append(objective())
+            # the model is sum_a Y[:, a] (x) U[:, a]; its inner product with
+            # A is sum(Y * rhs) and its squared norm sum((Y.T Y) * G)
+            value = norm_sq - 2.0 * np.sum(Y * rhs) + np.sum((Y.T @ Y) * G)
+            if value <= _IDENTITY_GUARD * norm_sq:
+                value = dense_objective()
+            trace.per_block.append(float(value))
         current = trace.per_block[-1]
         trace.per_sweep.append(current)
         if flagged:
             trace.flagged_sweeps.append(sweep)
-        if prev - current < opts.rel_tol * norm_sq:
+        if current == 0.0 or prev - current < opts.rel_tol * norm_sq:
             break
         prev = current
 
@@ -237,59 +231,14 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     return cp, trace
 
 
-def cp_als_naive(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, ALSTrace]:
-    """Column-at-a-time alternating least squares (pedagogical variant).
-
-    For each term ``a`` and mode ``mu`` the update replaces the mode-
-    ``mu`` vector of term ``a`` by the residual tensor contracted with
-    the remaining unit vectors of that term.  Each update is an exact
-    1-D least-squares solve, so the objective is still monotone, just
-    with far more, smaller steps than :func:`cp_als`.
-    """
-    from .contract import contract
-
-    A = as_tensor(A)
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    opts = opts or ALSOptions()
-    d = A.order
-    norm_sq = norm(A) ** 2
-
-    factors = _init_factors(A, r, opts)
-    weights = np.ones(r)
-
-    def term(a: int) -> np.ndarray:
-        vecs = [factors[nu][:, a] for nu in range(d)]
-        out = weights[a] * reduce(np.multiply.outer, vecs)
-        return out
-
-    def objective() -> float:
-        recon = sum(term(a) for a in range(r))
-        return float(np.sum((A.data - recon) ** 2))
-
-    trace = ALSTrace(initial=objective())
-    prev = trace.initial
-    for sweep in range(opts.max_sweeps):
-        for a in range(r):
-            residual = A.data - sum(term(b) for b in range(r) if b != a)
-            for mu0 in reversed(range(d)):
-                others = [factors[nu][:, a] for nu in range(d) if nu != mu0]
-                X = reduce(tensor_product, [DenseTensor(v) for v in others])
-                J = [nu + 1 for nu in range(d) if nu != mu0]
-                y = contract(DenseTensor(residual), X, J).data
-                nrm = float(np.linalg.norm(y))
-                if nrm > 0:
-                    factors[mu0][:, a] = y / nrm
-                weights[a] = nrm
-                trace.per_block.append(objective())
-        current = trace.per_block[-1]
-        trace.per_sweep.append(current)
-        if prev - current < opts.rel_tol * norm_sq:
-            break
-        prev = current
-
-    cp = CPDecomposition.from_factors(factors, weights)
-    return cp, trace
+def _contract_except(A: np.ndarray, xs: Sequence[np.ndarray], skip: int | None) -> np.ndarray:
+    """``A`` contracted with ``xs[nu]`` in every mode ``nu != skip``, one
+    mode at a time from the last, so each axis index stays valid."""
+    out = A
+    for nu in reversed(range(A.ndim)):
+        if nu != skip:
+            out = np.tensordot(out, xs[nu], axes=(nu, 0))
+    return out
 
 
 def best_rank_one(A, opts: ALSOptions | None = None) -> tuple[float, list[np.ndarray]]:
@@ -299,10 +248,9 @@ def best_rank_one(A, opts: ALSOptions | None = None) -> tuple[float, list[np.nda
     with all the other (unit) vectors, normalized; at a fixed point the
     scale is ``alpha = <A, x_1 (x) ... (x) x_d>`` and the squared error
     is ``||A||**2 - alpha**2``.  For a matrix this converges to the
-    leading singular pair.
+    leading singular pair.  Both the updates and ``alpha`` contract the
+    tensor with one vector at a time; no product of vectors is formed.
     """
-    from .contract import contract
-
     A = as_tensor(A)
     if norm(A) == 0.0:
         raise ValueError("zero tensor has no rank-one direction")
@@ -314,22 +262,15 @@ def best_rank_one(A, opts: ALSOptions | None = None) -> tuple[float, list[np.nda
         v = rng.uniform(-1.0, 1.0, size=n)
         xs.append(v / np.linalg.norm(v))
 
-    def alpha_of(vecs) -> float:
-        prod = reduce(tensor_product, [DenseTensor(v) for v in vecs])
-        return inner(A, prod)
-
-    alpha = alpha_of(xs)
+    alpha = float(_contract_except(A.data, xs, None))
     for _ in range(opts.max_sweeps):
         for mu0 in range(d):
-            others = [DenseTensor(xs[nu]) for nu in range(d) if nu != mu0]
-            X = reduce(tensor_product, others)
-            J = [nu + 1 for nu in range(d) if nu != mu0]
-            y = contract(A, X, J).data
+            y = _contract_except(A.data, xs, mu0)
             nrm = float(np.linalg.norm(y))
             if nrm == 0.0:
                 break
             xs[mu0] = y / nrm
-        new_alpha = alpha_of(xs)
+        new_alpha = float(_contract_except(A.data, xs, None))
         if abs(new_alpha - alpha) <= opts.rel_tol * max(abs(new_alpha), 1e-300):
             alpha = new_alpha
             break

@@ -5,9 +5,20 @@ orthonormal factor matrix per mode; applying the factors to the core
 reproduces the tensor.  :func:`hosvd` builds the factors from one SVD
 per mode-wise unfolding, :func:`hooi` refines them by alternating
 constrained SVDs.
+
+:func:`hooi` never densifies inside its loop.  With orthonormal factors
+the error is ``||A - recon||**2 = ||A||**2 - ||core||**2``, and the
+core's norm is the norm of the kept singular values of the last mode's
+projected unfolding, which the sweep has just computed.  That
+difference cancels once the error nears roundoff, so at or below
+``1e-8 * ||A||**2`` the error is recomputed from the dense residual.
+
+:class:`ALSOptions` lives here because both alternating solvers, this
+module's :func:`hooi` and :func:`tenslab.cp.cp_als`, take it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,12 +28,39 @@ from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
 from .linalg import svd
 
 __all__ = [
+    "ALSOptions",
     "TuckerDecomposition",
     "multilinear_apply",
     "tucker_reconstruct",
     "hosvd",
     "hooi",
 ]
+
+# An alternating solver's identity-based objective (squared error) that is at
+# most this fraction of ||A||**2 has lost its digits to cancellation; the
+# solver recomputes it from the dense model.
+_IDENTITY_GUARD = 1e-8
+
+
+@dataclass
+class ALSOptions:
+    """Knobs shared by the alternating solvers.
+
+    A sweep stops the iteration when the objective decrease over the
+    sweep drops below ``rel_tol * ||A||**2``, or when the objective is
+    exactly zero.
+    """
+
+    max_sweeps: int = 100
+    rel_tol: float = 1e-12
+    seed: int = 0
+    init: str = "random"          # "random" | "hosvd"
+
+    def __post_init__(self):
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be >= 1")
+        if self.rel_tol < 0:
+            raise ValueError("rel_tol must be >= 0")
 
 
 @dataclass
@@ -126,7 +164,8 @@ def hosvd(A, ranks: Sequence[int]) -> tuple[TuckerDecomposition, list[np.ndarray
     return TuckerDecomposition(core, factors), spectra
 
 
-def hooi(A, ranks: Sequence[int], opts=None) -> tuple[TuckerDecomposition, list[float]]:
+def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
+         ) -> tuple[TuckerDecomposition, list[float]]:
     """Higher-order orthogonal iteration (alternating subspace refinement).
 
     Starts from :func:`hosvd`.  Each step fixes every subspace but one,
@@ -137,9 +176,12 @@ def hooi(A, ranks: Sequence[int], opts=None) -> tuple[TuckerDecomposition, list[
     reconstruction error never increases across sweeps.  Returns the
     decomposition and the per-sweep error trace (initial HOSVD error
     first).
-    """
-    from .cp import ALSOptions  # shared option bag; no circular import at runtime
 
+    Each error is ``sqrt(||A||**2 - ||core||**2)``; after a sweep
+    ``||core||**2`` is the sum of the squared kept singular values of
+    the last mode's step.  When that difference is at most
+    ``1e-8 * ||A||**2`` the error is the dense residual norm instead.
+    """
     A = as_tensor(A)
     opts = opts or ALSOptions(max_sweeps=50)
     tuck, _ = hosvd(A, ranks)
@@ -147,20 +189,24 @@ def hooi(A, ranks: Sequence[int], opts=None) -> tuple[TuckerDecomposition, list[
     d = A.order
     norm_sq = norm(A) ** 2
 
-    def error_of(facs) -> float:
-        core = multilinear_apply(A, facs, transpose=True)
-        recon = multilinear_apply(core, facs, transpose=False)
+    def error_of(core_sq: float) -> float:
+        gap = norm_sq - core_sq
+        if gap > _IDENTITY_GUARD * norm_sq:
+            return math.sqrt(gap)
+        core = multilinear_apply(A, factors, transpose=True)
+        recon = multilinear_apply(core, factors, transpose=False)
         return norm(DenseTensor(A.data - recon.data))
 
-    trace = [error_of(factors)]
+    trace = [error_of(norm(tuck.core) ** 2)]
     for _ in range(opts.max_sweeps):
         for mu0 in range(d):
             reducers = [factors[nu] if nu != mu0 else None for nu in range(d)]
             Y = multilinear_apply(A, reducers, transpose=True)
             res = svd(matricize(Y, mu0 + 1).data)
             factors[mu0] = res.V[:, :ranks[mu0]].copy()
-        trace.append(error_of(factors))
-        if trace[-2] ** 2 - trace[-1] ** 2 < opts.rel_tol * norm_sq:
+        # the last step's kept singular values carry the core's norm
+        trace.append(error_of(float(np.sum(res.singular_values[:ranks[-1]] ** 2))))
+        if trace[-1] == 0.0 or trace[-2] ** 2 - trace[-1] ** 2 < opts.rel_tol * norm_sq:
             break
     core = multilinear_apply(A, factors, transpose=True)
     return TuckerDecomposition(core, factors), trace

@@ -140,6 +140,19 @@ class TestDecompose:
                            "--rank", "1", "--out", str(tmp_path / "x.cpd"))
         assert code == 4
 
+    def test_svd_non_convergence_is_numeric_failure(self, capsys, tmp_path, dense_file,
+                                                    monkeypatch):
+        # LinAlgError subclasses ValueError, which would otherwise mean usage
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("tenslab.cli.hosvd", fail)
+        p, _ = dense_file
+        code, _, err = run(capsys, "decompose", str(p), "--method", "hosvd",
+                           "--rank", "2,2,2", "--out", str(tmp_path / "x.tuck"))
+        assert code == 4
+        assert "did not converge" in err
+
 
 class TestReconstructAndError:
     def test_round_trip_each_format(self, capsys, tmp_path, rng):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import tenslab.cp
 
 from tenslab import (
     ALSOptions,
@@ -10,7 +13,6 @@ from tenslab import (
     best_rank_one,
     border_rank_demo,
     cp_als,
-    cp_als_naive,
     cp_rank_lower_bound,
     cp_reconstruct,
     hyperdeterminant_222,
@@ -70,6 +72,34 @@ class TestCPALS:
         cp, trace = cp_als(A, 2, ALSOptions(max_sweeps=3, seed=1))
         assert trace.final == 0.0
         np.testing.assert_array_equal(cp.weights, np.zeros(2))
+
+    def test_zero_tensor_stops_after_one_sweep(self):
+        # the decrease 0 - 0 is never below rel_tol * 0; a zero objective stops
+        _, trace = cp_als(np.zeros((3, 3, 3)), 2, ALSOptions(seed=0))
+        assert trace.per_sweep == [0.0]
+
+    @given(dims=st.lists(st.integers(2, 4), min_size=2, max_size=4),
+           r=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    def test_gram_objective_matches_dense_residual(self, dims, r, seed):
+        A = DenseTensor(np.random.default_rng(seed).standard_normal(dims))
+        cp, trace = cp_als(A, r, ALSOptions(max_sweeps=4, seed=seed))
+        dense = norm(DenseTensor(A.data - cp_reconstruct(cp).data)) ** 2
+        assert abs(trace.final - dense) <= 1e-10 * norm(A) ** 2
+
+    def test_objective_does_not_densify_in_the_loop(self, rng, monkeypatch):
+        calls = []
+        original = tenslab.cp.cp_product
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tenslab.cp, "cp_product", counting)
+        A = DenseTensor(rng.standard_normal((5, 4, 3)))
+        _, trace = cp_als(A, 2, ALSOptions(max_sweeps=10, rel_tol=0.0, seed=1))
+        # a noise tensor stays far above the guard: only the initial objective
+        assert min(trace.per_block) > 1e-2 * norm(A) ** 2
+        assert len(calls) <= 1
 
     def test_lafon_tensor_rank_n(self):
         # two frontal slices with a real-diagonalizable pencil: rank = n
@@ -131,25 +161,6 @@ class TestCPALS:
         A = DenseTensor(rng.standard_normal((4, 4, 4)))
         cp, trace = cp_als(A, 2, ALSOptions(max_sweeps=10, seed=0, init="hosvd"))
         assert trace.final <= trace.initial
-
-
-class TestNaiveALS:
-    def test_monotone_and_fits_rank_one(self, rng):
-        x, y, z = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(3)
-        A = tensor_product(tensor_product(x, y), z)
-        cp, trace = cp_als_naive(A, 1, ALSOptions(max_sweeps=10, seed=0))
-        values = [trace.initial] + trace.per_block
-        slack = 1e-10 * norm(A) ** 2
-        assert all(b <= a + slack for a, b in zip(values, values[1:]))
-        assert trace.final <= 1e-10 * norm(A) ** 2
-
-    def test_agrees_with_block_at_rank_two(self, rng):
-        A = DenseTensor(rng.standard_normal((3, 3, 3)))
-        _, tr_naive = cp_als_naive(A, 2, ALSOptions(max_sweeps=40, seed=2))
-        _, tr_block = cp_als(A, 2, ALSOptions(max_sweeps=40, seed=2))
-        # both are descent methods on the same objective
-        assert tr_naive.final <= tr_naive.initial
-        assert abs(tr_naive.final - tr_block.final) <= 0.1 * norm(A) ** 2
 
 
 class TestBestRankOne:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import tenslab.tucker
 
 from tenslab import (
     ALSOptions,
@@ -175,6 +178,34 @@ class TestHOOI:
             np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-10)
         assert norm(A) ** 2 == pytest.approx(norm(tuck.core) ** 2 + trace[-1] ** 2,
                                              rel=1e-9)
+
+    def test_zero_tensor_stops_after_one_sweep(self):
+        _, trace = hooi(np.zeros((3, 3, 3)), (2, 2, 2))
+        assert trace == [0.0, 0.0]
+
+    @given(dims=st.lists(st.integers(2, 4), min_size=2, max_size=4),
+           data=st.data(), seed=st.integers(0, 2 ** 16))
+    def test_energy_error_matches_dense_residual(self, dims, data, seed):
+        ranks = [data.draw(st.integers(1, min(n, 4))) for n in dims]
+        A = DenseTensor(np.random.default_rng(seed).standard_normal(dims))
+        tuck, trace = hooi(A, ranks, ALSOptions(max_sweeps=4))
+        dense = norm(DenseTensor(A.data - tucker_reconstruct(tuck).data))
+        assert abs(trace[-1] - dense) <= 1e-10 * norm(A)
+
+    def test_sweeps_do_not_densify(self, rng, monkeypatch):
+        calls = []
+        original = tenslab.tucker.multilinear_apply
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tenslab.tucker, "multilinear_apply", counting)
+        A = DenseTensor(rng.standard_normal((5, 5, 5)))
+        _, trace = hooi(A, (2, 2, 2), ALSOptions(max_sweeps=4, rel_tol=0.0))
+        sweeps = len(trace) - 1
+        # the HOSVD core, one projection per mode step, and the final core
+        assert len(calls) == 1 + 3 * sweeps + 1
 
 
 class TestDenseCap:
