@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import io as tio
-from .cp import ALSOptions, CPDecomposition, cp_als, cp_reconstruct, \
+from .cp import ALSOptions, ALSTrace, CPDecomposition, cp_als, cp_reconstruct, \
     hyperdeterminant_222, rank222_classify
 from .dense import DenseCapError, DenseTensor, matricize, norm, partition_sum
 from .funcgrid import CartesianGrid, Mesh, MonomialPoly, discretize, poly_discretize_cp
@@ -79,6 +79,14 @@ def _hosvd_ranks_for_tol(A: DenseTensor, tol: float) -> list[int]:
             for mu in range(1, A.order + 1)]
 
 
+def _trace_lines(trace: ALSTrace) -> list[str]:
+    lines = [f"sweeps={len(trace.per_sweep)}",
+             "trace=" + ",".join(_fmt(v) for v in trace.per_sweep)]
+    if trace.flagged_sweeps:
+        lines.append("flagged_sweeps=" + _fmt_list(trace.flagged_sweeps))
+    return lines
+
+
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
     A = tio.read_dense(args.input)
@@ -99,10 +107,7 @@ def cmd_decompose(args) -> int:
         tio.write_cp(cp, args.out)
         achieved = [cp.rank]
         requested = ranks
-        extra_lines.append(f"sweeps={len(trace.per_sweep)}")
-        extra_lines.append("trace=" + ",".join(_fmt(v) for v in trace.per_sweep))
-        if trace.flagged_sweeps:
-            extra_lines.append("flagged_sweeps=" + _fmt_list(trace.flagged_sweeps))
+        extra_lines += _trace_lines(trace)
     elif args.method in ("hosvd", "hooi"):
         if ranks is None:
             ranks = _hosvd_ranks_for_tol(A, args.tol)
@@ -113,8 +118,7 @@ def cmd_decompose(args) -> int:
             opts = ALSOptions(max_sweeps=args.max_sweeps, rel_tol=args.stop_tol,
                               seed=args.seed)
             tuck, trace = hooi(A, ranks, opts)
-            extra_lines.append(f"sweeps={len(trace) - 1}")
-            extra_lines.append("trace=" + ",".join(_fmt(v) for v in trace))
+            extra_lines += _trace_lines(trace)
         tio.write_tucker(tuck, args.out)
         achieved = list(tuck.ranks)
     elif args.method == "tt":

@@ -6,25 +6,25 @@ It records the objective after every block update without densifying
 the model: with ``U`` the Khatri-Rao product of the other factors,
 ``G = U.T U``, ``rhs = A_(mu).T U`` and the unnormalized update ``Y``,
 ``||A - M||**2 = ||A||**2 - 2 sum(Y * rhs) + sum((Y.T Y) * G)``
-(Kolda & Bader, SIAM Review 2009, section 3.4).  That sum cancels once
-the fit nears roundoff, so at or below ``1e-8 * ||A||**2`` the
-objective is recomputed from the dense model.  Rank diagnostics for the
-``2 x 2 x 2`` case (hyperdeterminant sign), a dimension-count lower
-bound and the classic border-rank demonstrator live here as well.
+(Kolda & Bader, SIAM Review 2009, section 3.4).  The roundoff guard
+and the stop rule are those of :class:`tenslab.tucker.ALSTrace`, which
+:func:`cp_als` returns.  Rank diagnostics for the ``2 x 2 x 2`` case
+(hyperdeterminant sign), a dimension-count lower bound and the classic
+border-rank demonstrator live here as well.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
-from .linalg import RANK_CUTOFF, cp_product, khatri_rao, pseudo_inverse
+from .linalg import RANK_CUTOFF, cp_product, khatri_rao
 from . import tucker as _tucker
-from .tucker import _IDENTITY_GUARD, ALSOptions
+from .tucker import ALSOptions, ALSTrace, _guarded
 
 __all__ = [
     "CPDecomposition",
@@ -108,27 +108,6 @@ def cp_reconstruct(cp: CPDecomposition, cap: int | None = None) -> DenseTensor:
     return cp_product(cp.factors, cp.weights)
 
 
-@dataclass
-class ALSTrace:
-    """Objective values recorded during a fit.
-
-    ``per_block`` holds ``||A - recon||**2`` after every block update;
-    ``per_sweep`` its value at the end of each full sweep.  ``initial``
-    is computed from the dense model; each later value from the Gram
-    identity of the block update, or, when that value is at most
-    ``1e-8 * ||A||**2``, from the dense model again.
-    """
-
-    initial: float
-    per_block: list[float] = field(default_factory=list)
-    per_sweep: list[float] = field(default_factory=list)
-    flagged_sweeps: list[int] = field(default_factory=list)
-
-    @property
-    def final(self) -> float:
-        return self.per_sweep[-1] if self.per_sweep else self.initial
-
-
 def _init_factors(A: DenseTensor, r: int, opts: ALSOptions) -> list[np.ndarray]:
     rng = np.random.default_rng(opts.seed)
     if opts.init == "random":
@@ -167,12 +146,13 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     Sweeps the modes in the order ``d, d-1, ..., 1``.  For the active
     mode the tensor is unfolded with that mode as columns, the other
     factors are combined columnwise into ``U``, and the exact block
-    minimizer ``X = A.T @ U @ inv(U.T U)`` is taken (pseudo-inverse when
-    the Gram matrix is ill-conditioned, with the sweep flagged).  Factor
-    columns are renormalized into the weights after each update, so the
-    objective is non-increasing across block updates.  The objective
-    after each update comes from the Gram identity in the module
-    docstring; the fit stops early once it is exactly zero.
+    minimizer ``X = A.T @ U @ inv(U.T U)`` is taken from one
+    eigendecomposition of the Gram matrix; eigenvalues at most
+    ``RANK_CUTOFF`` times the largest are dropped (a pseudo-inverse, with
+    the sweep flagged).  Factor columns are renormalized into the weights
+    after each update, so the objective is non-increasing across block
+    updates.  The objective after each update comes from the Gram
+    identity in the module docstring.
     """
     A = as_tensor(A)
     if r < 1:
@@ -192,8 +172,7 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
         return norm(DenseTensor(A.data - recon.data)) ** 2
 
     trace = ALSTrace(initial=dense_objective())
-    prev = trace.initial
-    for sweep in range(opts.max_sweeps):
+    for _ in range(opts.max_sweeps):
         flagged = False
         for mu0 in reversed(range(d)):
             # unit columns only: the solve absorbs the whole model scale
@@ -201,13 +180,10 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
             U = _khatri_rao_others(factors, mu0)
             G = U.T @ U
             rhs = unfolds[mu0].T @ U
-            with np.errstate(all="ignore"):
-                cond = np.linalg.cond(G)
-            if not np.isfinite(cond) or cond > 1e12:
-                Y = rhs @ pseudo_inverse(G, RANK_CUTOFF)
-                flagged = True
-            else:
-                Y = np.linalg.solve(G, rhs.T).T
+            lam, Q = np.linalg.eigh(G)
+            keep = lam > RANK_CUTOFF * lam[-1]
+            flagged |= not keep.all()
+            Y = (rhs @ Q[:, keep] / lam[keep]) @ Q[:, keep].T
             col_norms = np.linalg.norm(Y, axis=0)
             for a in range(r):
                 if col_norms[a] > 0:
@@ -216,16 +192,9 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
             # the model is sum_a Y[:, a] (x) U[:, a]; its inner product with
             # A is sum(Y * rhs) and its squared norm sum((Y.T Y) * G)
             value = norm_sq - 2.0 * np.sum(Y * rhs) + np.sum((Y.T @ Y) * G)
-            if value <= _IDENTITY_GUARD * norm_sq:
-                value = dense_objective()
-            trace.per_block.append(float(value))
-        current = trace.per_block[-1]
-        trace.per_sweep.append(current)
-        if flagged:
-            trace.flagged_sweeps.append(sweep)
-        if current == 0.0 or prev - current < opts.rel_tol * norm_sq:
+            trace.per_block.append(_guarded(value, norm_sq, dense_objective))
+        if trace.end_sweep(opts.rel_tol, norm_sq, flagged):
             break
-        prev = current
 
     cp = CPDecomposition.from_factors(factors, weights)
     return cp, trace

@@ -53,15 +53,17 @@ class Mesh:
         pts = tuple(float(x) for x in points)
         if not pts:
             raise ValueError("a mesh needs at least one point")
+        for x in pts:
+            if not np.isfinite(x):
+                raise ValueError(f"mesh point {x!r} is not finite")
         if any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError("mesh points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def uniform(cls, lo: float, hi: float, n: int) -> "Mesh":
-        if n == 1:
-            return cls((lo,))
-        return cls(np.linspace(lo, hi, n))
+        ends = cls((lo,) if n == 1 else (lo, hi))   # checks the end points
+        return ends if n in (1, 2) else cls(np.linspace(lo, hi, n))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .dense import DenseTensor, as_tensor, check_dense_cap, norm
-from .dense import dense_cap  # noqa: F401  (still importable from here)
 from .linalg import check_tolerance, truncation_rank, svd as _svd
 from .cp import CPDecomposition
 

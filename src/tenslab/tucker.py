@@ -6,29 +6,23 @@ reproduces the tensor.  :func:`hosvd` builds the factors from one SVD
 per mode-wise unfolding, :func:`hooi` refines them by alternating
 constrained SVDs.
 
-:func:`hooi` never densifies inside its loop.  With orthonormal factors
-the error is ``||A - recon||**2 = ||A||**2 - ||core||**2``, and the
-core's norm is the norm of the kept singular values of the last mode's
-projected unfolding, which the sweep has just computed.  That
-difference cancels once the error nears roundoff, so at or below
-``1e-8 * ||A||**2`` the error is recomputed from the dense residual.
-
-:class:`ALSOptions` lives here because both alternating solvers, this
-module's :func:`hooi` and :func:`tenslab.cp.cp_als`, take it.
+Both alternating solvers, :func:`hooi` and :func:`tenslab.cp.cp_als`,
+take :class:`ALSOptions` and return an :class:`ALSTrace`; the trace's
+docstring states the roundoff guard and the stop rule they share.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
-from .linalg import svd
+from .linalg import check_tolerance, svd
 
 __all__ = [
     "ALSOptions",
+    "ALSTrace",
     "TuckerDecomposition",
     "multilinear_apply",
     "tucker_reconstruct",
@@ -36,20 +30,13 @@ __all__ = [
     "hooi",
 ]
 
-# An alternating solver's identity-based objective (squared error) that is at
-# most this fraction of ||A||**2 has lost its digits to cancellation; the
-# solver recomputes it from the dense model.
 _IDENTITY_GUARD = 1e-8
 
 
 @dataclass
 class ALSOptions:
-    """Knobs shared by the alternating solvers.
-
-    A sweep stops the iteration when the objective decrease over the
-    sweep drops below ``rel_tol * ||A||**2``, or when the objective is
-    exactly zero.
-    """
+    """Knobs shared by the alternating solvers; see :class:`ALSTrace`
+    for the stop rule that ``rel_tol`` sets."""
 
     max_sweeps: int = 100
     rel_tol: float = 1e-12
@@ -59,8 +46,45 @@ class ALSOptions:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
+        check_tolerance(self.rel_tol)
+
+
+@dataclass
+class ALSTrace:
+    """Squared errors ``||A - M||**2`` recorded by an alternating solver.
+
+    ``per_block`` holds one value after every block update (a factor
+    solve of :func:`tenslab.cp.cp_als`, a mode step of :func:`hooi`),
+    ``per_sweep`` the last block value of each sweep, and
+    ``flagged_sweeps`` the sweeps whose Gram solve dropped eigenvalues.
+    Each value after ``initial`` comes from an identity, which cancels
+    near roundoff: :func:`_guarded` recomputes it from the dense model
+    when it is at most ``1e-8 * ||A||**2``.  :meth:`end_sweep` stops the
+    iteration once the sweep value is exactly zero or fell by less than
+    ``rel_tol * ||A||**2`` over the sweep.
+    """
+
+    initial: float
+    per_block: list[float] = field(default_factory=list)
+    per_sweep: list[float] = field(default_factory=list)
+    flagged_sweeps: list[int] = field(default_factory=list)
+
+    @property
+    def final(self) -> float:
+        return self.per_sweep[-1] if self.per_sweep else self.initial
+
+    def end_sweep(self, rel_tol: float, norm_sq: float, flagged: bool = False) -> bool:
+        """Close the sweep at the last block value; return whether to stop."""
+        prev, current = self.final, self.per_block[-1]
+        if flagged:
+            self.flagged_sweeps.append(len(self.per_sweep))
+        self.per_sweep.append(current)
+        return current == 0.0 or prev - current < rel_tol * norm_sq
+
+
+def _guarded(value: float, norm_sq: float, dense_fn: Callable[[], float]) -> float:
+    """``value``, or ``dense_fn()`` where the guard of :class:`ALSTrace` applies."""
+    return float(dense_fn() if value <= _IDENTITY_GUARD * norm_sq else value)
 
 
 @dataclass
@@ -165,7 +189,7 @@ def hosvd(A, ranks: Sequence[int]) -> tuple[TuckerDecomposition, list[np.ndarray
 
 
 def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
-         ) -> tuple[TuckerDecomposition, list[float]]:
+         ) -> tuple[TuckerDecomposition, ALSTrace]:
     """Higher-order orthogonal iteration (alternating subspace refinement).
 
     Starts from :func:`hosvd`.  Each step fixes every subspace but one,
@@ -173,14 +197,12 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
     mode as columns and takes the leading right singular vectors as the
     new basis (Gauss-Seidel style: the freshest bases are used within a
     sweep).  Equivalent to maximizing the core energy, so the
-    reconstruction error never increases across sweeps.  Returns the
-    decomposition and the per-sweep error trace (initial HOSVD error
-    first).
+    reconstruction error never increases across steps.  Returns the
+    decomposition and its :class:`ALSTrace`.
 
-    Each error is ``sqrt(||A||**2 - ||core||**2)``; after a sweep
-    ``||core||**2`` is the sum of the squared kept singular values of
-    the last mode's step.  When that difference is at most
-    ``1e-8 * ||A||**2`` the error is the dense residual norm instead.
+    With orthonormal factors ``||A - M||**2 = ||A||**2 - ||core||**2``,
+    and after a step ``||core||**2`` is the sum of the squared kept
+    singular values of that step, so no step densifies.
     """
     A = as_tensor(A)
     opts = opts or ALSOptions(max_sweeps=50)
@@ -189,24 +211,21 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
     d = A.order
     norm_sq = norm(A) ** 2
 
-    def error_of(core_sq: float) -> float:
-        gap = norm_sq - core_sq
-        if gap > _IDENTITY_GUARD * norm_sq:
-            return math.sqrt(gap)
+    def dense_error() -> float:
         core = multilinear_apply(A, factors, transpose=True)
         recon = multilinear_apply(core, factors, transpose=False)
-        return norm(DenseTensor(A.data - recon.data))
+        return norm(DenseTensor(A.data - recon.data)) ** 2
 
-    trace = [error_of(norm(tuck.core) ** 2)]
+    trace = ALSTrace(initial=_guarded(norm_sq - norm(tuck.core) ** 2, norm_sq, dense_error))
     for _ in range(opts.max_sweeps):
         for mu0 in range(d):
             reducers = [factors[nu] if nu != mu0 else None for nu in range(d)]
             Y = multilinear_apply(A, reducers, transpose=True)
             res = svd(matricize(Y, mu0 + 1).data)
             factors[mu0] = res.V[:, :ranks[mu0]].copy()
-        # the last step's kept singular values carry the core's norm
-        trace.append(error_of(float(np.sum(res.singular_values[:ranks[-1]] ** 2))))
-        if trace[-1] == 0.0 or trace[-2] ** 2 - trace[-1] ** 2 < opts.rel_tol * norm_sq:
+            core_sq = float(np.sum(res.singular_values[:ranks[mu0]] ** 2))
+            trace.per_block.append(_guarded(norm_sq - core_sq, norm_sq, dense_error))
+        if trace.end_sweep(opts.rel_tol, norm_sq):
             break
     core = multilinear_apply(A, factors, transpose=True)
     return TuckerDecomposition(core, factors), trace

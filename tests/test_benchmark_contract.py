@@ -1,0 +1,77 @@
+"""The names ``benchmark/tracing.py`` wraps and reads must exist in tenslab.
+
+The traced benchmark replaces functions by name and reads attributes of
+their results, so a rename in ``src/`` that it does not follow would
+otherwise only show up in a traced benchmark run.  These tests install
+its tracer the way ``benchmark/run.py`` does and run tiny CLI jobs.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tenslab
+import tenslab.cli
+import tenslab.io
+
+_spec = importlib.util.spec_from_file_location(
+    "benchmark_tracing", Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def _tenslab_namespaces() -> dict:
+    return {(name, key): value
+            for name, mod in list(sys.modules.items()) if name.startswith("tenslab")
+            for key, value in vars(mod).items() if callable(value)}
+
+
+@pytest.fixture
+def tracer():
+    before = _tenslab_namespaces()
+    linalg, funcgrid = tenslab.linalg, tenslab.funcgrid
+    methods = linalg.SVDResult.truncate, funcgrid.MonomialPoly.__call__
+    t = tracing.Tracer()
+    t.install(tenslab)
+    try:
+        yield t
+    finally:
+        t.uninstall()
+    assert _tenslab_namespaces() == before
+    assert (linalg.SVDResult.truncate, funcgrid.MonomialPoly.__call__) == methods
+
+
+def _decompose(tracer, tmp_path, capsys, *argv) -> dict:
+    src = tmp_path / "a.dten"
+    tenslab.io.write_dense(tenslab.DenseTensor(np.random.default_rng(0).random((4, 4, 4))),
+                           src)
+    tracer.reset()
+    code = tenslab.cli.main(["decompose", str(src), *argv, "--out", str(tmp_path / "m")])
+    assert code == 0
+    return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def test_cp_span_counts_sweeps(tracer, tmp_path, capsys):
+    rep = _decompose(tracer, tmp_path, capsys, "--method", "cp", "--rank", "2",
+                     "--max-sweeps", "3")
+    assert tracer.spans[0].name == "cli.main"
+    layers = tracing.job_layers(tracer.spans, 1.0)
+    assert layers["cp.cp_als.s"] > 0
+    assert layers["cp.cp_als.sweeps"] == int(rep["sweeps"]) == 3
+
+
+def test_hooi_span(tracer, tmp_path, capsys):
+    _decompose(tracer, tmp_path, capsys, "--method", "hooi", "--rank", "2,2,2",
+               "--max-sweeps", "3")
+    layers = tracing.job_layers(tracer.spans, 1.0)
+    assert layers["tucker.hooi.s"] > 0
+    assert layers["linalg.svd.calls"] > 0
+
+
+def test_tolerance_truncation_records_kept_ranks(tracer, tmp_path, capsys):
+    _decompose(tracer, tmp_path, capsys, "--method", "hosvd", "--tol", "0.5")
+    assert {"linalg.svd_to_tolerance", "tucker.hosvd"} <= {s.name for s in tracer.spans}
+    kept = [s.counts["kept"] for s in tracer.spans if s.name == "linalg.svd"]
+    assert kept and all(k >= 1 for k in kept)

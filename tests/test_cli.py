@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from tenslab import DenseTensor, additive_tt, zeros_tt
+from tenslab import DenseTensor, additive_tt, norm, zeros_tt
 from tenslab.cli import main
 from tenslab import CPDecomposition
 from tenslab.io import read_dense, write_cp, write_dense, write_tt, write_tucker
@@ -152,6 +152,40 @@ class TestDecompose:
                            "--rank", "2,2,2", "--out", str(tmp_path / "x.tuck"))
         assert code == 4
         assert "did not converge" in err
+
+    @pytest.mark.parametrize("method,rank", [("cp", "2"), ("hooi", "2,2,2")])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_bad_stop_tol_is_usage_error_naming_the_value(self, capsys, tmp_path,
+                                                          dense_file, method, rank, tol):
+        p, _ = dense_file
+        out_file = tmp_path / "x.bin"
+        code, _, err = run(capsys, "decompose", str(p), "--method", method, "--rank", rank,
+                           "--stop-tol", tol, "--out", str(out_file))
+        assert code == 2
+        assert f"got {tol}" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("method,rank", [("cp", "2"), ("hooi", "2,2,2")])
+    def test_trace_is_per_sweep_squared_error(self, capsys, tmp_path, dense_file,
+                                              method, rank):
+        p, A = dense_file
+        code, out, _ = run(capsys, "decompose", str(p), "--method", method, "--rank", rank,
+                           "--out", str(tmp_path / "x.bin"))
+        assert code == 0
+        rep = report(out)
+        trace = [float(v) for v in rep["trace"].split(",")]
+        assert len(trace) == int(rep["sweeps"])
+        assert trace[-1] == pytest.approx((float(rep["rel_error"]) * norm(A)) ** 2,
+                                          rel=1e-8)
+
+    def test_rank_deficient_cp_reports_flagged_sweeps(self, capsys, tmp_path, rng):
+        A = np.einsum("i,j,k->ijk", *(rng.standard_normal(4) for _ in range(3)))
+        p = tmp_path / "rank1.dten"
+        write_dense(DenseTensor(A), p)
+        code, out, _ = run(capsys, "decompose", str(p), "--method", "cp", "--rank", "3",
+                           "--out", str(tmp_path / "x.cpd"))
+        assert code == 0
+        assert report(out)["flagged_sweeps"] != ""
 
 
 class TestReconstructAndError:
@@ -340,6 +374,26 @@ class TestGrid:
                            str(fixtures_dir / "poly_sumsquare.txt"),
                            "--mesh", "0:1:4", "--out", str(tmp_path / "x.dten"))
         assert code == 2
+
+    @pytest.mark.parametrize("spec,bad", [("nan:1:3,0:1:3", "nan"), ("0:inf:3,0:1:3", "inf"),
+                                          ("0:1:3,-inf:1:3", "-inf")])
+    def test_non_finite_inline_mesh_is_usage_error(self, capsys, tmp_path, spec, bad):
+        out = tmp_path / "x.dten"
+        code, _, err = run(capsys, "grid", "--builtin", "sum-square", f"--mesh={spec}",
+                           "--out", str(out))
+        assert code == 2
+        assert f"mesh point {bad} is not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_mesh_file_is_io_error(self, capsys, tmp_path, bad):
+        mesh, out = tmp_path / "mesh.txt", tmp_path / "x.dten"
+        mesh.write_text(f"0 0.5 1\n0 {bad} 1\n")
+        code, _, err = run(capsys, "grid", "--builtin", "sum-square", "--mesh", str(mesh),
+                           "--out", str(out))
+        assert code == 3
+        assert f"mesh.txt:2: mesh point {bad} is not finite" in err
+        assert not out.exists()
 
 
 class TestRank222:

@@ -134,6 +134,17 @@ class TestCPALS:
         values = [trace.initial] + trace.per_block
         assert all(b <= a + slack for a, b in zip(values, values[1:]))
 
+    def test_rank_deficient_gram_takes_pseudo_inverse(self, rng):
+        # a rank-3 fit of a rank-1 tensor makes the Gram matrices singular
+        x, y, z = (rng.standard_normal(4) for _ in range(3))
+        A = tensor_product(tensor_product(x, y), z)
+        slack = 1e-10 * norm(A) ** 2
+        for seed in range(30):
+            _, trace = cp_als(A, 3, ALSOptions(seed=seed))
+            assert trace.flagged_sweeps
+            values = [trace.initial] + trace.per_block
+            assert all(b <= a + slack for a, b in zip(values, values[1:]))
+
     def test_fit_no_worse_than_init(self, rng):
         A = DenseTensor(rng.standard_normal((4, 4, 4)))
         _, trace = cp_als(A, 2, ALSOptions(max_sweeps=10, seed=5))

@@ -32,6 +32,13 @@ class TestMeshAndGrid:
             Mesh([])
         assert len(Mesh([1.5])) == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mesh_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match=f"mesh point {bad!r} is not finite"):
+            Mesh([0.0, bad])
+        with pytest.raises(ValueError, match=f"mesh point {bad!r} is not finite"):
+            Mesh.uniform(0.0, bad, 5)
+
     def test_grid_point_one_based(self):
         grid = CartesianGrid([Mesh([0.0, 1.0]), Mesh([5.0, 6.0, 7.0])])
         assert grid.shape == (2, 3)

@@ -148,7 +148,7 @@ class TestEntryAndDense:
             tt_reconstruct(T, cap=999)
 
     def test_memory_guard_env_var(self, rng, monkeypatch):
-        from tenslab.tt import dense_cap
+        from tenslab.dense import dense_cap
         monkeypatch.setenv("TENSLAB_DENSE_CAP", "123")
         assert dense_cap() == 123
         assert dense_cap(777) == 777

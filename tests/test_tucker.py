@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -150,7 +152,7 @@ class TestHOOI:
         factors = [random_orthonormal(rng, 5, 2) for _ in range(3)]
         A = multilinear_apply(core, factors)
         tuck, trace = hooi(A, (2, 2, 2), ALSOptions(max_sweeps=30))
-        assert trace[-1] <= 1e-9 * norm(A)
+        assert math.sqrt(trace.final) <= 1e-9 * norm(A)
 
     def test_improves_on_hosvd(self, rng):
         for _ in range(5):
@@ -158,30 +160,33 @@ class TestHOOI:
             t_hosvd, _ = hosvd(A, (2, 2, 2))
             e_hosvd = norm(DenseTensor(A.data - tucker_reconstruct(t_hosvd).data))
             _, trace = hooi(A, (2, 2, 2), ALSOptions(max_sweeps=30))
-            assert trace[-1] <= e_hosvd + 1e-12
+            assert math.sqrt(trace.final) <= e_hosvd + 1e-12
 
     def test_error_trace_monotone(self, rng):
         A = DenseTensor(rng.standard_normal((5, 5, 5)))
         _, trace = hooi(A, (2, 2, 2), ALSOptions(max_sweeps=30))
         slack = 1e-10 * norm(A) ** 2
-        assert all(b ** 2 <= a ** 2 + slack for a, b in zip(trace, trace[1:]))
+        sweeps = [trace.initial] + trace.per_sweep
+        assert all(b <= a + slack for a, b in zip(sweeps, sweeps[1:]))
+        blocks = [trace.initial] + trace.per_block
+        assert all(b <= a + slack for a, b in zip(blocks, blocks[1:]))
 
     def test_full_ranks_single_sweep(self, rng):
         A = DenseTensor(rng.standard_normal((3, 3, 3)))
         _, trace = hooi(A, (3, 3, 3), ALSOptions(max_sweeps=1))
-        assert trace[-1] <= 1e-10 * norm(A)
+        assert math.sqrt(trace.final) <= 1e-10 * norm(A)
 
     def test_factor_orthonormality_and_energy(self, rng):
         A = DenseTensor(rng.standard_normal((4, 4, 4)))
         tuck, trace = hooi(A, (2, 3, 2), ALSOptions(max_sweeps=20))
         for U in tuck.factors:
             np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-10)
-        assert norm(A) ** 2 == pytest.approx(norm(tuck.core) ** 2 + trace[-1] ** 2,
+        assert norm(A) ** 2 == pytest.approx(norm(tuck.core) ** 2 + trace.final,
                                              rel=1e-9)
 
     def test_zero_tensor_stops_after_one_sweep(self):
         _, trace = hooi(np.zeros((3, 3, 3)), (2, 2, 2))
-        assert trace == [0.0, 0.0]
+        assert (trace.initial, trace.per_sweep) == (0.0, [0.0])
 
     @given(dims=st.lists(st.integers(2, 4), min_size=2, max_size=4),
            data=st.data(), seed=st.integers(0, 2 ** 16))
@@ -190,7 +195,7 @@ class TestHOOI:
         A = DenseTensor(np.random.default_rng(seed).standard_normal(dims))
         tuck, trace = hooi(A, ranks, ALSOptions(max_sweeps=4))
         dense = norm(DenseTensor(A.data - tucker_reconstruct(tuck).data))
-        assert abs(trace[-1] - dense) <= 1e-10 * norm(A)
+        assert abs(math.sqrt(trace.final) - dense) <= 1e-10 * norm(A)
 
     def test_sweeps_do_not_densify(self, rng, monkeypatch):
         calls = []
@@ -203,7 +208,7 @@ class TestHOOI:
         monkeypatch.setattr(tenslab.tucker, "multilinear_apply", counting)
         A = DenseTensor(rng.standard_normal((5, 5, 5)))
         _, trace = hooi(A, (2, 2, 2), ALSOptions(max_sweeps=4, rel_tol=0.0))
-        sweeps = len(trace) - 1
+        sweeps = len(trace.per_sweep)
         # the HOSVD core, one projection per mode step, and the final core
         assert len(calls) == 1 + 3 * sweeps + 1
 
