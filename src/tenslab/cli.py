@@ -89,6 +89,10 @@ def _trace_lines(trace: ALSTrace) -> list[str]:
 
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
+    check_tolerance(args.stop_tol, "--stop-tol")
+    if args.max_sweeps < 1:
+        raise UsageError(f"--max-sweeps must be >= 1, got {args.max_sweeps}")
+    opts = ALSOptions(max_sweeps=args.max_sweeps, rel_tol=args.stop_tol, seed=args.seed)
     A = tio.read_dense(args.input)
     if np.any(~np.isfinite(A.data)):
         raise NumericError(f"{args.input}: input contains non-finite values")
@@ -102,7 +106,6 @@ def cmd_decompose(args) -> int:
             raise UsageError("cp takes a single --rank value")
         if ranks is None:
             raise UsageError("cp requires --rank (tolerance-driven CP is not supported)")
-        opts = ALSOptions(max_sweeps=args.max_sweeps, rel_tol=args.stop_tol, seed=args.seed)
         cp, trace = cp_als(A, ranks[0], opts)
         tio.write_cp(cp, args.out)
         achieved = [cp.rank]
@@ -115,8 +118,6 @@ def cmd_decompose(args) -> int:
         if args.method == "hosvd":
             tuck, _ = hosvd(A, ranks)
         else:
-            opts = ALSOptions(max_sweeps=args.max_sweeps, rel_tol=args.stop_tol,
-                              seed=args.seed)
             tuck, trace = hooi(A, ranks, opts)
             extra_lines += _trace_lines(trace)
         tio.write_tucker(tuck, args.out)

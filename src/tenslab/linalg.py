@@ -2,8 +2,10 @@
 pseudo-inverse, CUR sampling, Kronecker-family products, ball volumes.
 
 Every decomposition engine in this package reduces to the routines here.
-``svd`` fixes the usual sign ambiguity (largest-magnitude entry of each
-left singular vector made nonnegative) so that goldens are reproducible.
+``svd`` hands LAPACK a wide matrix as its tall transpose (QR-first
+reduction over contiguous columns) and fixes the sign ambiguity in place
+(largest-magnitude entry of each left singular vector made nonnegative)
+so that goldens are reproducible; it copies no factor.
 Every truncation to a tolerance goes through :func:`check_tolerance`
 (finite and >= 0) and :func:`truncation_rank` (the one rank rule).
 """
@@ -74,11 +76,10 @@ class SVDResult:
         return (self.U * self.singular_values) @ self.V.T
 
     def truncate(self, r: int) -> "SVDResult":
+        """Leading ``r`` triplets as slices, sharing memory with ``self``."""
         if not 1 <= r <= self.rank:
             raise ValueError(f"rank {r} out of range 1..{self.rank}")
-        return SVDResult(self.U[:, :r].copy(),
-                         self.singular_values[:r].copy(),
-                         self.V[:, :r].copy())
+        return SVDResult(self.U[:, :r], self.singular_values[:r], self.V[:, :r])
 
     def tail_energy(self, r: int) -> float:
         """Squared reconstruction error of the rank-``r`` truncation."""
@@ -88,26 +89,27 @@ class SVDResult:
 def svd(M) -> SVDResult:
     """Full thin SVD with the deterministic sign convention.
 
-    The largest-magnitude entry of every left singular vector is forced
-    nonnegative (the right vector flips along).  A zero matrix yields
-    all-zero singular values with arbitrary orthonormal factors.
+    The first largest-magnitude entry of every left singular vector is
+    made nonnegative by flipping it and its right vector in place.  A
+    wide matrix is factored as its tall transpose ``A.T = V diag(s) U^T``.
+    A zero matrix yields all-zero singular values with arbitrary
+    orthonormal factors.
     """
     A = _as_matrix(M)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    V = Vt.T.copy()
-    U = U.copy()
-    for a in range(U.shape[1]):
-        pivot = np.argmax(np.abs(U[:, a]))
-        if U[pivot, a] < 0:
-            U[:, a] = -U[:, a]
-            V[:, a] = -V[:, a]
+    wide = A.shape[1] > A.shape[0]
+    U, s, Vt = np.linalg.svd(A.T if wide else A, full_matrices=False)
+    U, V = (Vt.T, U) if wide else (U, Vt.T)
+    # row-major |U^T|: argmax then scans contiguous rows without a copy
+    pivot = np.argmax(np.abs(U.T, order="C"), axis=1)
+    flip = np.where(U[pivot, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    U *= flip
+    V *= flip
     return SVDResult(U, s, V)
 
 
 def truncated_svd(M, r: int) -> SVDResult:
     """Leading-``r`` part of the SVD (the best rank-``r`` approximation)."""
-    full = svd(M)
-    return full.truncate(r)
+    return svd(M).truncate(r)
 
 
 def check_tolerance(rel_tol: float, name: str = "rel_tol") -> None:

@@ -325,9 +325,7 @@ def tt_marginal(T: TTTensor, mode: int) -> DenseTensor:
     right = np.ones((1, 1))
     for G in reversed(T.cores[mu:]):
         right = np.sum(G, axis=1) @ right
-    G = T.cores[mu - 1]
-    out = np.array([(left @ G[:, i, :] @ right).item() for i in range(G.shape[1])])
-    return DenseTensor(out)
+    return DenseTensor(np.einsum("a,aib,b->i", left[0], T.cores[mu - 1], right[:, 0]))
 
 
 def cp_to_tt(cp: CPDecomposition) -> TTTensor:
@@ -342,12 +340,10 @@ def cp_to_tt(cp: CPDecomposition) -> TTTensor:
         vec = cp.factors[0] @ cp.weights
         return TTTensor([vec.reshape(1, -1, 1)])
     cores = [(cp.factors[0] * cp.weights)[None, :, :]]    # (1, n_1, r)
+    terms = np.arange(r)
     for mu in range(1, d - 1):
-        X = cp.factors[mu]
-        n = X.shape[0]
-        C = np.zeros((r, n, r))
-        for a in range(r):
-            C[a, :, a] = X[:, a]
+        C = np.zeros((r, cp.dims[mu], r))
+        C[terms, :, terms] = cp.factors[mu].T
         cores.append(C)
     cores.append(cp.factors[d - 1].T.reshape(r, cp.dims[d - 1], 1))
     return TTTensor(cores)

@@ -75,3 +75,11 @@ def test_tolerance_truncation_records_kept_ranks(tracer, tmp_path, capsys):
     assert {"linalg.svd_to_tolerance", "tucker.hosvd"} <= {s.name for s in tracer.spans}
     kept = [s.counts["kept"] for s in tracer.spans if s.name == "linalg.svd"]
     assert kept and all(k >= 1 for k in kept)
+
+
+def test_tt_tolerance_svd_spans_carry_work_and_kept_rank(tracer, tmp_path, capsys):
+    rep = _decompose(tracer, tmp_path, capsys, "--method", "tt", "--tol", "0.5")
+    svds = [s for s in tracer.spans if s.name == "linalg.svd"]
+    assert len(svds) == 2
+    assert all(s.counts["elements"] > 0 for s in svds)
+    assert [s.counts["kept"] for s in svds] == [int(r) for r in rep["achieved_rank"].split(",")]

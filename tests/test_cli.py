@@ -153,7 +153,8 @@ class TestDecompose:
         assert code == 4
         assert "did not converge" in err
 
-    @pytest.mark.parametrize("method,rank", [("cp", "2"), ("hooi", "2,2,2")])
+    @pytest.mark.parametrize("method,rank", [("cp", "2"), ("hooi", "2,2,2"),
+                                             ("hosvd", "2,2,2"), ("tt", "2,2")])
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_bad_stop_tol_is_usage_error_naming_the_value(self, capsys, tmp_path,
                                                           dense_file, method, rank, tol):
@@ -162,7 +163,20 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(p), "--method", method, "--rank", rank,
                            "--stop-tol", tol, "--out", str(out_file))
         assert code == 2
-        assert f"got {tol}" in err
+        assert f"--stop-tol must be finite and >= 0, got {tol}" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("method,rank", [("cp", "2"), ("hooi", "2,2,2"),
+                                             ("hosvd", "2,2,2"), ("tt", "2,2")])
+    @pytest.mark.parametrize("sweeps", ["0", "-5"])
+    def test_bad_max_sweeps_is_usage_error_naming_the_value(self, capsys, tmp_path,
+                                                            dense_file, method, rank, sweeps):
+        p, _ = dense_file
+        out_file = tmp_path / "x.bin"
+        code, _, err = run(capsys, "decompose", str(p), "--method", method, "--rank", rank,
+                           "--max-sweeps", sweeps, "--out", str(out_file))
+        assert code == 2
+        assert f"--max-sweeps must be >= 1, got {sweeps}" in err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("method,rank", [("cp", "2"), ("hooi", "2,2,2")])

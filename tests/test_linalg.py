@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tenslab import (
     ball_volume,
@@ -63,6 +64,15 @@ class TestSVD:
         for a in range(r1.rank):
             assert r1.U[np.argmax(np.abs(r1.U[:, a])), a] >= 0
 
+    def test_sign_convention_first_index_on_ties(self, monkeypatch):
+        h = math.sqrt(0.5)
+        U = np.array([[-h, h], [h, h]])          # |U| ties in both columns
+        monkeypatch.setattr("tenslab.linalg.np.linalg.svd",
+                            lambda a, full_matrices: (U.copy(), np.ones(2), np.eye(2)))
+        res = svd(np.eye(2))
+        np.testing.assert_array_equal(res.U, [[h, h], [-h, h]])
+        np.testing.assert_array_equal(res.V, [[-1.0, 0.0], [-0.0, 1.0]])
+
     def test_zero_matrix(self):
         res = svd(np.zeros((3, 2)))
         np.testing.assert_array_equal(res.singular_values, [0.0, 0.0])
@@ -71,6 +81,47 @@ class TestSVD:
     def test_nuclear_norm(self):
         res = svd(np.diag([3.0, 2.0]))
         assert res.nuclear_norm == pytest.approx(5.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(1, 12), rank=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 16), transpose=st.booleans())
+    @example(m=3, n=12, rank=3, seed=0, transpose=False)     # n > 2m
+    @example(m=3, n=12, rank=3, seed=0, transpose=True)
+    @example(m=5, n=12, rank=2, seed=1, transpose=False)     # rank-deficient
+    @example(m=4, n=11, rank=0, seed=2, transpose=False)     # all zero
+    @example(m=1, n=12, rank=1, seed=3, transpose=False)
+    def test_wide_and_tall_properties(self, m, n, rank, seed, transpose):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, m, n)
+        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        if transpose:
+            A = A.T
+        res = svd(A)
+        k = min(A.shape)
+        s, U, V = res.singular_values, res.U, res.V
+        s0 = s[0]
+        assert U.shape == (A.shape[0], k) and V.shape == (A.shape[1], k) and s.shape == (k,)
+        np.testing.assert_allclose(U.T @ U, np.eye(k), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(k), rtol=0, atol=1e-12)
+        assert np.linalg.norm(res.reconstruct() - A) <= 1e-12 * np.linalg.norm(A)
+        np.testing.assert_allclose(A @ V, U * s, rtol=0, atol=1e-12 * s0)
+        np.testing.assert_allclose(A.T @ U, V * s, rtol=0, atol=1e-12 * s0)
+        np.testing.assert_allclose(s, np.linalg.svd(A, compute_uv=False),
+                                   rtol=0, atol=1e-13 * s0)
+        for a in range(k):
+            assert U[np.argmax(np.abs(U[:, a])), a] >= 0
+        # a non-square A and its transpose reach LAPACK as the same tall matrix
+        other = svd(A.T).singular_values
+        if A.shape[0] != A.shape[1]:
+            np.testing.assert_array_equal(other, s)
+        else:
+            np.testing.assert_allclose(other, s, rtol=0, atol=1e-13 * s0)
+        for r in range(1, k + 1):
+            cut = res.truncate(r)
+            np.testing.assert_array_equal(cut.U, U[:, :r])
+            np.testing.assert_array_equal(cut.singular_values, s[:r])
+            np.testing.assert_array_equal(cut.V, V[:, :r])
+            assert np.shares_memory(cut.U, U) and np.shares_memory(cut.V, V)
 
 
 class TestTruncation:

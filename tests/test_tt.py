@@ -73,6 +73,21 @@ class TestTTSVD:
         assert norm(A) ** 2 == pytest.approx(
             quality.kept_energy + sum(quality.step_tail_energies), rel=1e-9)
 
+    @pytest.mark.parametrize("target", [{"ranks": (3, 5, 7, 5, 3)}, {"rel_tol": 0.3}])
+    def test_lapack_sees_only_tall_unfoldings(self, rng, monkeypatch, target):
+        # the wide unfoldings of TT-SVD reach LAPACK as their tall transposes
+        shapes = []
+        lapack_svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return lapack_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr("tenslab.linalg.np.linalg.svd", spy)
+        tt_svd(rng.standard_normal((4,) * 6), **target)
+        assert len(shapes) == 5
+        assert all(rows >= cols for rows, cols in shapes), shapes
+
     def test_tolerance_mode_bounds_error(self, rng):
         A = DenseTensor(rng.standard_normal((4, 4, 4)))
         for tol in (0.5, 0.1):
@@ -277,6 +292,20 @@ class TestPartitionAndMarginal:
             np.testing.assert_allclose(tt_marginal(T, mu).data,
                                        dense.sum(axis=axes), atol=1e-9)
 
+    def test_marginal_matches_loop_formula(self, rng):
+        T = random_tt(rng, (3, 5, 4, 6, 2), (2, 3, 4, 2))
+        for mu in range(1, T.order + 1):
+            left = np.ones((1, 1))
+            for G in T.cores[:mu - 1]:
+                left = left @ np.sum(G, axis=1)
+            right = np.ones((1, 1))
+            for G in reversed(T.cores[mu:]):
+                right = np.sum(G, axis=1) @ right
+            G = T.cores[mu - 1]
+            loop = np.array([(left @ G[:, i, :] @ right).item() for i in range(G.shape[1])])
+            got = tt_marginal(T, mu).data
+            assert np.linalg.norm(got - loop) <= 1e-13 * np.linalg.norm(loop)
+
     def test_marginal_mode_checked(self, rng):
         with pytest.raises(ValueError):
             tt_marginal(random_tt(rng, (2, 2), (1,)), 3)
@@ -290,6 +319,18 @@ class TestCPLinks:
         assert T.ranks == (1, 1)
         np.testing.assert_allclose(tt_reconstruct(T).data,
                                    cp_reconstruct(cp).data, atol=1e-12)
+
+    def test_cp_to_tt_cores_match_loop_formula(self, rng):
+        r = 3
+        cp = CPDecomposition.from_factors([rng.standard_normal((n, r)) for n in (2, 4, 5, 3)],
+                                          rng.standard_normal(r))
+        T = cp_to_tt(cp)
+        for mu in (1, 2):
+            X = cp.factors[mu]
+            C = np.zeros((r, X.shape[0], r))
+            for a in range(r):
+                C[a, :, a] = X[:, a]
+            np.testing.assert_array_equal(T.cores[mu], C)
 
     def test_cp_to_tt_worked_rank_two(self, rng):
         X, Y, Z = (rng.standard_normal((4, 2)) for _ in range(3))
