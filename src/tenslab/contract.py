@@ -94,9 +94,8 @@ def structure_tensor_matvec(m: int, n: int) -> DenseTensor:
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     B = np.zeros((m, n, n, m))
-    for i in range(m):
-        for j in range(n):
-            B[i, j, j, i] = 1.0
+    i, j = np.indices((m, n))
+    B[i, j, j, i] = 1.0
     return DenseTensor(B.reshape(m * n, n, m))
 
 

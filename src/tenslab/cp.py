@@ -1,7 +1,8 @@
 """CP (Candecomp/Parafac) representation and alternating least squares.
 
 The fitting routine is :func:`cp_als`, which updates one whole factor
-matrix at a time (each block update is an exact least-squares solve).
+matrix at a time (each block update is an exact least-squares solve)
+and renormalizes its columns into the weights in one masked step.
 It records the objective after every block update without densifying
 the model: with ``U`` the Khatri-Rao product of the other factors,
 ``G = U.T U``, ``rhs = A_(mu).T U`` and the unnormalized update ``Y``,
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
-from .linalg import RANK_CUTOFF, cp_product, khatri_rao
+from .linalg import RANK_CUTOFF, _khatri_rao_others, cp_product
 from . import tucker as _tucker
 from .tucker import ALSOptions, ALSTrace, _guarded
 
@@ -73,20 +73,22 @@ class CPDecomposition:
 
     @classmethod
     def from_factors(cls, factors: Sequence[np.ndarray], weights=None) -> "CPDecomposition":
-        """Normalize columns into weights (zero columns get weight 0)."""
-        mats = [np.asarray(X, dtype=np.float64).copy() for X in factors]
+        """Normalize columns into weights; a zero column becomes e_1, weight +0.0."""
+        mats = [np.array(X, dtype=np.float64) for X in factors]
+        if not mats or any(X.ndim != 2 or not len(X) or X.shape[1] != mats[0].shape[1]
+                           for X in mats):
+            raise ValueError(f"need one or more nonempty factor matrices with equal column "
+                             f"counts; got shapes {[X.shape for X in mats]}")
         r = mats[0].shape[1]
-        w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64).copy()
+        w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64)
         for X in mats:
             norms = np.linalg.norm(X, axis=0)
-            for a in range(r):
-                if norms[a] > 0:
-                    X[:, a] /= norms[a]
-                    w[a] *= norms[a]
-                else:
-                    w[a] = 0.0
-                    X[:, a] = 0.0
-                    X[0, a] = 1.0
+            nonzero = norms > 0
+            X[:, nonzero] /= norms[nonzero]
+            X[:, ~nonzero] = 0.0
+            X[0, ~nonzero] = 1.0
+            # np.where, not a product with 0: a negative weight would give -0.0
+            w = np.where(nonzero, w * norms, 0.0)
         return cls(w, mats)
 
     @property
@@ -129,15 +131,6 @@ def _init_factors(A: DenseTensor, r: int, opts: ALSOptions) -> list[np.ndarray]:
             mats.append(U.copy())
         return mats
     raise ValueError(f"unknown init {opts.init!r}")
-
-
-def _khatri_rao_others(factors: list[np.ndarray], mu0: int) -> np.ndarray:
-    """Khatri-Rao chain of every factor but ``mu0``, ascending mode order.
-
-    Row order matches the row-major unfolding with mode ``mu0`` as columns.
-    """
-    others = [factors[nu] for nu in range(len(factors)) if nu != mu0]
-    return reduce(khatri_rao, others)
 
 
 def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, ALSTrace]:
@@ -184,11 +177,10 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
             keep = lam > RANK_CUTOFF * lam[-1]
             flagged |= not keep.all()
             Y = (rhs @ Q[:, keep] / lam[keep]) @ Q[:, keep].T
-            col_norms = np.linalg.norm(Y, axis=0)
-            for a in range(r):
-                if col_norms[a] > 0:
-                    factors[mu0][:, a] = Y[:, a] / col_norms[a]
-            weights = col_norms
+            # a zero column keeps its previous unit column, with weight 0
+            weights = np.linalg.norm(Y, axis=0)
+            nonzero = weights > 0
+            factors[mu0][:, nonzero] = Y[:, nonzero] / weights[nonzero]
             # the model is sum_a Y[:, a] (x) U[:, a]; its inner product with
             # A is sum(Y * rhs) and its squared norm sum((Y.T Y) * G)
             value = norm_sq - 2.0 * np.sum(Y * rhs) + np.sum((Y.T @ Y) * G)

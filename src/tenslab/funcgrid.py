@@ -28,6 +28,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .cp import CPDecomposition
+from .tucker import multilinear_apply
 
 __all__ = [
     "Mesh",
@@ -286,21 +287,17 @@ def cheb_project(f: Callable | MonomialPoly, degrees: Sequence[int]) -> DenseTen
 
     Samples ``f`` on the tensor grid of ``2 * (max(degrees) + 1)``
     Gauss-Chebyshev nodes per variable and applies the discrete
-    transform along each axis.  Exact (up to roundoff) whenever ``f`` is
-    a polynomial within the degree bounds.  The coefficient tensor has
-    dims ``(degrees[mu] + 1)``.
+    transform of every axis in one :func:`tenslab.tucker.multilinear_apply`.
+    Exact (up to roundoff) whenever ``f`` is a polynomial within the
+    degree bounds.  The coefficient tensor has dims ``(degrees[mu] + 1)``.
     """
     degs = [int(r) for r in degrees]
     if not degs or any(r < 0 for r in degs):
         raise ValueError(f"invalid degree bounds {degrees}")
     m = 2 * (max(degs) + 1)
     nodes = chebyshev_nodes(m)
-    grid = CartesianGrid([Mesh(nodes)] * len(degs))
-    values = discretize(f, grid).data
-    for mu, r in enumerate(degs):
-        mat = _cheb_transform_matrix(r, nodes)
-        values = np.moveaxis(np.tensordot(mat, values, axes=(1, mu)), 0, mu)
-    return DenseTensor(values)
+    values = discretize(f, CartesianGrid([Mesh(nodes)] * len(degs)))
+    return multilinear_apply(values, [_cheb_transform_matrix(r, nodes) for r in degs])
 
 
 def cheb_reconstruct(coeffs, points) -> np.ndarray:

@@ -8,12 +8,15 @@ reduction over contiguous columns) and fixes the sign ambiguity in place
 so that goldens are reproducible; it copies no factor.
 Every truncation to a tolerance goes through :func:`check_tolerance`
 (finite and >= 0) and :func:`truncation_rank` (the one rank rule).
+:func:`cp_product` and the CP-ALS update share one Khatri-Rao chain,
+which alone fixes the row order of every CP unfolding.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -208,28 +211,41 @@ def tracy_singh(A, B, a_row_splits: Sequence[int] = (), a_col_splits: Sequence[i
     return np.vstack(row_blocks)
 
 
+def _khatri_rao_others(factors: Sequence[np.ndarray], skip: int) -> np.ndarray:
+    """Khatri-Rao product of every factor but ``factors[skip]``.
+
+    Its rows run row-major over the remaining modes in ascending order,
+    matching the row-major unfolding with mode ``skip`` as columns; with
+    no other factor it is one row of ones.
+    """
+    others = [X for nu, X in enumerate(factors) if nu != skip]
+    return reduce(khatri_rao, others) if others else np.ones((1, factors[skip].shape[1]))
+
+
 def cp_product(factors: Sequence, weights=None) -> DenseTensor:
     """Sum of rank-one terms from per-mode factor matrices.
 
     ``factors[mu]`` has shape ``(n_mu, r)``; term ``a`` is the tensor
     product of the ``a``-th columns, scaled by ``weights[a]`` (1 if
-    absent).  For two factors this is ``X @ diag(w) @ Y.T``.
+    absent).  The mode-1 unfolding is ``(X_1 * w) @ K.T`` with ``K`` the
+    Khatri-Rao product of the other factors, taken over blocks of at most
+    ``n_1`` terms so that no block of ``K`` is larger than the output.
     """
     mats = [_as_matrix(X) for X in factors]
+    if not mats or any(X.shape[1] != mats[0].shape[1] for X in mats):
+        raise ValueError(f"need one or more factor matrices with equal column counts; "
+                         f"got shapes {[X.shape for X in mats]}")
     r = mats[0].shape[1]
-    if any(X.shape[1] != r for X in mats):
-        raise ValueError("all factors must share the same column count")
     w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (r,):
         raise ValueError(f"need {r} weights, got shape {w.shape}")
     dims = tuple(X.shape[0] for X in mats)
-    out = np.zeros(dims)
-    for a in range(r):
-        term = w[a] * mats[0][:, a]
-        for X in mats[1:]:
-            term = np.multiply.outer(term, X[:, a])
-        out += term
-    return DenseTensor(out)
+    out = np.zeros((dims[0], math.prod(dims[1:])))
+    for start in range(0, r, max(dims[0], 1)):
+        cols = slice(start, start + dims[0])
+        block = [X[:, cols] for X in mats]
+        out += (block[0] * w[cols]) @ _khatri_rao_others(block, 0).T
+    return DenseTensor(out.reshape(dims))
 
 
 def cur(A, rows: Sequence[int], cols: Sequence[int],

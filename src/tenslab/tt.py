@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, check_dense_cap, norm
+from .dense import DenseTensor, _check_multi_index, as_tensor, check_dense_cap, norm
 from .linalg import check_tolerance, truncation_rank, svd as _svd
 from .cp import CPDecomposition
 
@@ -192,15 +192,10 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
 
 def tt_entry(T: TTTensor, index: Sequence[int]) -> float:
     """Entry at a 1-based multi-index: the chain product of core slices."""
-    idx = [int(i) for i in index]
-    if len(idx) != T.order:
-        raise ValueError(f"multi-index of length {len(idx)} for order {T.order}")
-    for i, n in zip(idx, T.dims):
-        if not 1 <= i <= n:
-            raise ValueError(f"index {idx} out of range for dims {T.dims} (1-based)")
-    row = T.cores[0][:, idx[0] - 1, :]
+    idx = _check_multi_index(index, T.dims)
+    row = T.cores[0][:, idx[0], :]
     for G, i in zip(T.cores[1:], idx[1:]):
-        row = row @ G[:, i - 1, :]
+        row = row @ G[:, i, :]
     return float(row[0, 0])
 
 
@@ -363,29 +358,21 @@ def tt_to_cp(T: TTTensor, max_terms: int = 100_000) -> CPDecomposition:
     always takes the generic expansion.
     """
     d = T.order
-    if d == 1:
-        return CPDecomposition.from_factors([T.cores[0].reshape(-1, 1)])
     n_terms = math.prod(T.ranks)
     if n_terms > max_terms:
         raise ValueError(
             f"expansion would produce {n_terms} terms (cap {max_terms})")
-    columns: list[list[np.ndarray]] = [[] for _ in range(d)]
-    weights = []
-    for combo in np.ndindex(*T.ranks):
-        vecs = [T.cores[0][0, :, combo[0]]]
-        for mu in range(1, d - 1):
-            vecs.append(T.cores[mu][combo[mu - 1], :, combo[mu]])
-        vecs.append(T.cores[d - 1][combo[d - 2], :, 0])
-        if any(np.all(v == 0.0) for v in vecs):
-            continue
-        for mu, v in enumerate(vecs):
-            columns[mu].append(v)
-        weights.append(1.0)
-    if not weights:
+    # column t of bonds: term t's index on every bond (0 on both ends), the
+    # interior ones in np.ndindex order; core mu spans bonds mu and mu + 1
+    idx = np.indices(T.ranks).reshape(d - 1, n_terms)
+    edge = np.zeros((1, n_terms), dtype=idx.dtype)
+    bonds = np.concatenate([edge, idx, edge])
+    factors = [G[bonds[mu], :, bonds[mu + 1]].T for mu, G in enumerate(T.cores)]
+    keep = np.logical_and.reduce([np.any(X != 0.0, axis=0) for X in factors])
+    if not keep.any():
         factors = [np.zeros((n, 1)) for n in T.dims]
         return CPDecomposition.from_factors(factors, np.zeros(1))
-    factors = [np.stack(cols, axis=1) for cols in columns]
-    return CPDecomposition.from_factors(factors, np.asarray(weights))
+    return CPDecomposition.from_factors([X[:, keep] for X in factors])
 
 
 def additive_tt(values_per_mode: Sequence[Sequence[float]]) -> TTTensor:

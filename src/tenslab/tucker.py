@@ -118,48 +118,35 @@ class TuckerDecomposition:
         return self.core.dims
 
 
-def _normalize_flags(transpose, d: int) -> list[bool]:
-    if isinstance(transpose, bool):
-        return [transpose] * d
-    flags = [bool(t) for t in transpose]
-    if len(flags) != d:
-        raise ValueError(f"need {d} transpose flags, got {len(flags)}")
-    return flags
-
-
-def multilinear_apply(A, mats: Sequence[np.ndarray], transpose=False) -> DenseTensor:
+def multilinear_apply(A, mats: Sequence[np.ndarray]) -> DenseTensor:
     """Apply one matrix per mode: the action ``(M_1, ..., M_d) . A``.
 
-    With ``transpose=False`` the matrix multiplies each mode-``mu``
-    fiber directly (``M_mu`` of shape ``(m_mu, n_mu)``); with the flag
-    set, its transpose does (``M_mu`` of shape ``(n_mu, m_mu)``), which
-    is the basis-change direction used to form Tucker cores.  ``None``
-    entries leave a mode untouched.  Implemented as the classic cycle of
-    unfold, multiply, fold, one mode at a time.
+    ``M_mu`` of shape ``(m_mu, n_mu)`` multiplies each mode-``mu`` fiber;
+    pass ``U.T`` for the basis change ``U`` that forms a Tucker core.
+    ``None`` entries leave a mode untouched.  Implemented as the classic
+    cycle of unfold, multiply, fold, one mode at a time.
     """
     A = as_tensor(A)
     d = A.order
     if len(mats) != d:
         raise ValueError(f"need {d} matrices for order {d}")
-    flags = _normalize_flags(transpose, d)
     out = A.data
-    for mu0, (M, flag) in enumerate(zip(mats, flags)):
+    for mu0, M in enumerate(mats):
         if M is None:
             continue
         M = np.asarray(M, dtype=np.float64)
-        op = M.T if flag else M
-        if op.shape[1] != out.shape[mu0]:
+        if M.shape[1] != out.shape[mu0]:
             raise ValueError(
-                f"matrix for mode {mu0 + 1} contracts {op.shape[1]} values against "
+                f"matrix for mode {mu0 + 1} contracts {M.shape[1]} values against "
                 f"dimension {out.shape[mu0]}")
-        out = np.moveaxis(np.tensordot(op, out, axes=(1, mu0)), 0, mu0)
+        out = np.moveaxis(np.tensordot(M, out, axes=(1, mu0)), 0, mu0)
     return DenseTensor(out)
 
 
 def tucker_reconstruct(T: TuckerDecomposition, cap: int | None = None) -> DenseTensor:
-    """Densify by applying the factors (untransposed) to the core, within the cap."""
+    """Densify by applying the factors to the core, within the cap."""
     check_dense_cap(T.dims, cap)
-    return multilinear_apply(T.core, T.factors, transpose=False)
+    return multilinear_apply(T.core, T.factors)
 
 
 def hosvd(A, ranks: Sequence[int]) -> tuple[TuckerDecomposition, list[np.ndarray]]:
@@ -184,7 +171,7 @@ def hosvd(A, ranks: Sequence[int]) -> tuple[TuckerDecomposition, list[np.ndarray
         res = svd(matricize(A, mu).data)
         spectra.append(res.singular_values.copy())
         factors.append(res.V[:, :ranks[mu - 1]].copy())
-    core = multilinear_apply(A, factors, transpose=True)
+    core = multilinear_apply(A, [U.T for U in factors])
     return TuckerDecomposition(core, factors), spectra
 
 
@@ -212,20 +199,20 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
     norm_sq = norm(A) ** 2
 
     def dense_error() -> float:
-        core = multilinear_apply(A, factors, transpose=True)
-        recon = multilinear_apply(core, factors, transpose=False)
+        core = multilinear_apply(A, [U.T for U in factors])
+        recon = multilinear_apply(core, factors)
         return norm(DenseTensor(A.data - recon.data)) ** 2
 
     trace = ALSTrace(initial=_guarded(norm_sq - norm(tuck.core) ** 2, norm_sq, dense_error))
     for _ in range(opts.max_sweeps):
         for mu0 in range(d):
-            reducers = [factors[nu] if nu != mu0 else None for nu in range(d)]
-            Y = multilinear_apply(A, reducers, transpose=True)
+            reducers = [factors[nu].T if nu != mu0 else None for nu in range(d)]
+            Y = multilinear_apply(A, reducers)
             res = svd(matricize(Y, mu0 + 1).data)
             factors[mu0] = res.V[:, :ranks[mu0]].copy()
             core_sq = float(np.sum(res.singular_values[:ranks[mu0]] ** 2))
             trace.per_block.append(_guarded(norm_sq - core_sq, norm_sq, dense_error))
         if trace.end_sweep(opts.rel_tol, norm_sq):
             break
-    core = multilinear_apply(A, factors, transpose=True)
+    core = multilinear_apply(A, [U.T for U in factors])
     return TuckerDecomposition(core, factors), trace

@@ -83,3 +83,22 @@ def test_tt_tolerance_svd_spans_carry_work_and_kept_rank(tracer, tmp_path, capsy
     assert len(svds) == 2
     assert all(s.counts["elements"] > 0 for s in svds)
     assert [s.counts["kept"] for s in svds] == [int(r) for r in rep["achieved_rank"].split(",")]
+
+
+def test_cp_reconstruct_span_records_entries_around_khatri_rao(tracer, tmp_path, capsys):
+    # 7 terms against n_1 = 3: three blocks, one Khatri-Rao product each
+    rng = np.random.default_rng(0)
+    factors = [rng.standard_normal((n, 7)) for n in (3, 4, 5)]
+    src = tmp_path / "m.cpd"
+    tenslab.io.write_cp(tenslab.CPDecomposition.from_factors(factors), src)
+    tracer.reset()
+    code = tenslab.cli.main(["reconstruct", str(src), "--out", str(tmp_path / "b.dten")])
+    assert code == 0
+    products = [s for s in tracer.spans if s.name == "linalg.cp_product"]
+    assert [s.counts["entries"] for s in products] == [3 * 4 * 5]
+    khatri_rao = [s for s in tracer.spans if s.name == "linalg.khatri_rao"]
+    assert len(khatri_rao) == 3
+    assert all(s.inside({"linalg.cp_product"}) for s in khatri_rao)
+    layers = tracing.job_layers(tracer.spans, 1.0)
+    assert layers["linalg.cp_product.entries"] == 3 * 4 * 5
+    assert layers["linalg.khatri_rao.calls"] == 3

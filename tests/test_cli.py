@@ -345,6 +345,13 @@ class TestTTQueries:
         expected = fs[0][1] + fs[1][2] + fs[2][0]
         assert float(report(out)["entry"]) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("index", ["0,1,1", "1,2", "1,7,1"])
+    def test_entry_bad_index_is_usage_error(self, capsys, additive_file, index):
+        p, fs, n = additive_file
+        code, _, err = run(capsys, "tt", "entry", str(p), "--index", index)
+        assert code == 2
+        assert f"({index.replace(',', ', ')})" in err          # names the index
+
     def test_query_on_non_tt_file(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "tt", "z", str(fixtures_dir / "ones222.dtent"))
         assert code == 2

@@ -118,6 +118,15 @@ class TestStructureTensor:
         np.testing.assert_allclose(
             apply_bilinear(B, A.reshape(-1), x).data, A @ x, atol=1e-12)
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (3, 1), (2, 4), (4, 4)])
+    def test_equals_loop_formula(self, m, n):
+        ref = np.zeros((m, n, n, m))
+        for i in range(m):
+            for j in range(n):
+                ref[i, j, j, i] = 1.0
+        np.testing.assert_array_equal(structure_tensor_matvec(m, n).data,
+                                      ref.reshape(m * n, n, m))
+
     def test_sparsity_count(self):
         B = structure_tensor_matvec(3, 3)
         assert np.count_nonzero(B.data) == 9          # n^2 of n^4 entries

@@ -59,6 +59,59 @@ class TestCPDecomposition:
         np.testing.assert_allclose(cp_reconstruct(cp).data, brute, atol=1e-12)
 
 
+def from_factors_loop(factors, weights):
+    """Column-at-a-time reference for ``CPDecomposition.from_factors``."""
+    mats = [np.array(X, dtype=np.float64) for X in factors]
+    w = np.array(weights, dtype=np.float64)
+    for X in mats:
+        norms = np.linalg.norm(X, axis=0)
+        for a in range(X.shape[1]):
+            if norms[a] > 0:
+                X[:, a] /= norms[a]
+                w[a] *= norms[a]
+            else:
+                w[a] = 0.0
+                X[:, a] = 0.0
+                X[0, a] = 1.0
+    return w, mats
+
+
+class TestFromFactors:
+    def test_bitwise_equal_to_column_loop(self, rng):
+        factors = [rng.standard_normal((n, 6)) for n in (3, 4, 5)]
+        factors[0][:, 1] = 0.0
+        factors[1][:, 2] = 0.0
+        factors[2][:, 2] = 0.0
+        factors[2][:, 4] = 0.0
+        weights = np.array([1.5, -2.0, -0.5, 3.0, -1.0, -4.0])
+        cp = CPDecomposition.from_factors(factors, weights)
+        w, mats = from_factors_loop(factors, weights)
+        assert cp.weights.tobytes() == w.tobytes()
+        assert all(X.tobytes() == Y.tobytes() for X, Y in zip(cp.factors, mats))
+        # zero columns under negative weights become e_1 with weight +0.0
+        assert not np.signbit(cp.weights[[1, 2, 4]]).any()
+        for mu, a in [(0, 1), (1, 2), (2, 2), (2, 4)]:
+            np.testing.assert_array_equal(cp.factors[mu][:, a], np.eye(len(factors[mu]))[0])
+
+    def test_inputs_are_not_modified(self, rng):
+        factors = [rng.standard_normal((3, 2)) for _ in range(3)]
+        weights = np.array([2.0, -1.0])
+        copies = [X.copy() for X in factors], weights.copy()
+        CPDecomposition.from_factors(factors, weights)
+        assert all(np.array_equal(X, Y) for X, Y in zip(factors, copies[0]))
+        assert np.array_equal(weights, copies[1])
+
+    @pytest.mark.parametrize("factors, shapes", [
+        ([np.ones((3, 2)), np.ones((4, 1))], r"\(3, 2\), \(4, 1\)"),
+        ([np.ones((3, 2)), np.ones(3)], r"\(3, 2\), \(3,\)"),
+        ([np.zeros((0, 2)), np.ones((3, 2))], r"\(0, 2\), \(3, 2\)"),
+        ([], r"\[\]"),
+    ])
+    def test_malformed_factor_lists_name_the_shapes(self, factors, shapes):
+        with pytest.raises(ValueError, match=shapes):
+            CPDecomposition.from_factors(factors)
+
+
 class TestCPALS:
     def test_exact_rank_one(self, rng):
         x, y, z = rng.standard_normal(4), rng.standard_normal(3), rng.standard_normal(5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,42 @@ class TestCPProduct:
     def test_column_mismatch(self, rng):
         with pytest.raises(ValueError):
             cp_product([rng.standard_normal((2, 2)), rng.standard_normal((2, 3))])
+
+    def test_malformed_factor_lists_name_the_shapes(self, rng):
+        with pytest.raises(ValueError, match=r"\(2, 2\), \(2, 3\)"):
+            cp_product([rng.standard_normal((2, 2)), rng.standard_normal((2, 3))])
+        with pytest.raises(ValueError, match=r"one or more factor matrices.*\[\]"):
+            cp_product([])
+
+    @pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 3)])
+    @pytest.mark.parametrize("extra", [-1, 0, 7])       # r < n_1, r = n_1, r > n_1
+    def test_against_per_term_loop(self, rng, dims, extra):
+        r = max(dims[0] + extra, 1)
+        X = [rng.standard_normal((n, r)) for n in dims]
+        w = rng.standard_normal(r)
+        w[::3] = 0.0
+        w[1::3] = -np.abs(w[1::3])
+        ref = np.zeros(dims)
+        for a in range(r):
+            term = w[a] * X[0][:, a]
+            for Y in X[1:]:
+                term = np.multiply.outer(term, Y[:, a])
+            ref += term
+        out = cp_product(X, w)
+        assert out.dims == dims
+        assert np.linalg.norm(out.data - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_memory_stays_within_a_few_outputs(self, rng):
+        # 64 terms against n_1 = 4: the Khatri-Rao product of all terms at once
+        # would be 16x the output
+        X = [rng.standard_normal((n, 64)) for n in (4, 50, 50)]
+        tracemalloc.start()
+        try:
+            out = cp_product(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * out.data.nbytes
 
 
 class TestCUR:

@@ -157,6 +157,15 @@ class TestEntryAndDense:
         with pytest.raises(ValueError):
             tt_entry(T, (4, 1))
 
+    @pytest.mark.parametrize("index", [(0, 1, 1), (1, 2, 5), (1, 2), (1, 1, 1, 1)])
+    def test_malformed_index_follows_the_dense_rule(self, rng, index):
+        T = random_tt(rng, (3, 4, 2), (2, 2))
+        with pytest.raises(ValueError) as dense_err:
+            DenseTensor(np.zeros(T.dims)).entry(index)
+        with pytest.raises(ValueError) as tt_err:
+            tt_entry(T, index)
+        assert str(tt_err.value) == str(dense_err.value)
+
     def test_memory_guard(self, rng):
         T = random_tt(rng, (10, 10, 10), (2, 2))
         with pytest.raises(ValueError):
@@ -381,6 +390,53 @@ class TestCPLinks:
         T = random_tt(rng, (2, 2, 2, 2), (2, 2, 2))
         with pytest.raises(ValueError):
             tt_to_cp(T, max_terms=3)
+
+    @staticmethod
+    def tt_to_cp_loop(T):
+        """Term-at-a-time reference for ``tt_to_cp``."""
+        d = T.order
+        if d == 1:
+            return CPDecomposition.from_factors([T.cores[0].reshape(-1, 1)])
+        columns, weights = [[] for _ in range(d)], []
+        for combo in np.ndindex(*T.ranks):
+            vecs = [T.cores[0][0, :, combo[0]]]
+            vecs += [T.cores[mu][combo[mu - 1], :, combo[mu]] for mu in range(1, d - 1)]
+            vecs.append(T.cores[d - 1][combo[d - 2], :, 0])
+            if any(np.all(v == 0.0) for v in vecs):
+                continue
+            for mu, v in enumerate(vecs):
+                columns[mu].append(v)
+            weights.append(1.0)
+        if not weights:
+            return CPDecomposition.from_factors([np.zeros((n, 1)) for n in T.dims], np.zeros(1))
+        return CPDecomposition.from_factors([np.stack(c, axis=1) for c in columns],
+                                            np.asarray(weights))
+
+    @pytest.mark.parametrize("zero", ["none", "interior", "first", "last", "all"])
+    @pytest.mark.parametrize("dims, ranks", [((3, 4), (3,)), ((3, 2, 4, 2), (2, 3, 2))])
+    def test_tt_to_cp_bitwise_equal_to_term_loop(self, rng, dims, ranks, zero):
+        T = random_tt(rng, dims, ranks)
+        if zero == "interior":
+            T.cores[1][1, :, 0] = 0.0
+        elif zero == "first":
+            T.cores[0][0, :, 1] = 0.0
+        elif zero == "last":
+            T.cores[-1][0, :, 0] = 0.0
+        elif zero == "all":
+            T = TTTensor([np.zeros_like(G) for G in T.cores])
+        cp = self.assert_tt_to_cp_matches_loop(T)
+        assert (cp.rank == np.prod(ranks)) == (zero == "none")
+
+    @pytest.mark.parametrize("scale", [-2.0, 0.0])
+    def test_tt_to_cp_order_one_bitwise_equal_to_term_loop(self, rng, scale):
+        cp = self.assert_tt_to_cp_matches_loop(TTTensor([scale * rng.random((1, 3, 1))]))
+        assert cp.rank == 1
+
+    def assert_tt_to_cp_matches_loop(self, T):
+        cp, ref = tt_to_cp(T), self.tt_to_cp_loop(T)
+        assert cp.weights.tobytes() == ref.weights.tobytes()
+        assert all(X.tobytes() == Y.tobytes() for X, Y in zip(cp.factors, ref.factors))
+        return cp
 
 
 class TestAdditive:

@@ -47,7 +47,7 @@ class TestMultilinearApply:
         A = DenseTensor(rng.standard_normal((3, 4)))
         M = rng.standard_normal((3, 2))
         N = rng.standard_normal((4, 2))
-        out = multilinear_apply(A, [M, N], transpose=True)
+        out = multilinear_apply(A, [M.T, N.T])
         np.testing.assert_allclose(out.data, M.T @ A.data @ N, atol=1e-12)
 
     def test_composition_law(self, rng):
@@ -61,7 +61,7 @@ class TestMultilinearApply:
     def test_per_mode_flags_and_none(self, rng):
         A = DenseTensor(rng.standard_normal((2, 3)))
         M = rng.standard_normal((2, 4))
-        out = multilinear_apply(A, [M, None], transpose=[True, False])
+        out = multilinear_apply(A, [M.T, None])
         np.testing.assert_allclose(out.data, M.T @ A.data, atol=1e-13)
 
     def test_shape_mismatch(self, rng):
@@ -140,7 +140,7 @@ class TestTuckerReconstruct:
     def test_pythagoras_any_orthonormal_factors(self, rng):
         A = DenseTensor(rng.standard_normal((4, 4, 4)))
         factors = [random_orthonormal(rng, 4, 2) for _ in range(3)]
-        core = multilinear_apply(A, factors, transpose=True)
+        core = multilinear_apply(A, [U.T for U in factors])
         recon = multilinear_apply(core, factors)
         err_sq = norm(DenseTensor(A.data - recon.data)) ** 2
         assert err_sq == pytest.approx(norm(A) ** 2 - norm(core) ** 2, rel=1e-10)
