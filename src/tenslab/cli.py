@@ -11,7 +11,6 @@ The densification guard of :mod:`tenslab.dense` (``--dense-cap``, else
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -20,9 +19,9 @@ import numpy as np
 from . import io as tio
 from .cp import ALSOptions, ALSTrace, CPDecomposition, cp_als, cp_reconstruct, \
     hyperdeterminant_222, rank222_classify
-from .dense import DenseCapError, DenseTensor, matricize, norm, partition_sum
+from .dense import DenseCapError, DenseTensor, norm, partition_sum
 from .funcgrid import CartesianGrid, Mesh, MonomialPoly, discretize, poly_discretize_cp
-from .linalg import check_tolerance, svd_to_tolerance
+from .linalg import check_tolerance
 from .tt import TTTensor, tt_entry, tt_marginal, tt_partition, tt_reconstruct, tt_svd
 from .tucker import TuckerDecomposition, hooi, hosvd, tucker_reconstruct
 
@@ -71,14 +70,6 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _hosvd_ranks_for_tol(A: DenseTensor, tol: float) -> list[int]:
-    check_tolerance(tol, "--tol")
-    # per-mode tolerance split so the stacked tails stay within tol
-    per_mode = tol / math.sqrt(A.order)
-    return [svd_to_tolerance(matricize(A, mu).data, per_mode).rank
-            for mu in range(1, A.order + 1)]
-
-
 def _trace_lines(trace: ALSTrace) -> list[str]:
     lines = [f"sweeps={len(trace.per_sweep)}",
              "trace=" + ",".join(_fmt(v) for v in trace.per_sweep)]
@@ -90,6 +81,8 @@ def _trace_lines(trace: ALSTrace) -> list[str]:
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
     check_tolerance(args.stop_tol, "--stop-tol")
+    if args.tol is not None:
+        check_tolerance(args.tol, "--tol")
     if args.max_sweeps < 1:
         raise UsageError(f"--max-sweeps must be >= 1, got {args.max_sweeps}")
     opts = ALSOptions(max_sweeps=args.max_sweeps, rel_tol=args.stop_tol, seed=args.seed)
@@ -109,16 +102,13 @@ def cmd_decompose(args) -> int:
         cp, trace = cp_als(A, ranks[0], opts)
         tio.write_cp(cp, args.out)
         achieved = [cp.rank]
-        requested = ranks
         extra_lines += _trace_lines(trace)
     elif args.method in ("hosvd", "hooi"):
-        if ranks is None:
-            ranks = _hosvd_ranks_for_tol(A, args.tol)
-        requested = ranks
+        caps = ranks if ranks is not None else A.dims
         if args.method == "hosvd":
-            tuck, _ = hosvd(A, ranks)
+            tuck, _ = hosvd(A, caps, rel_tol=args.tol)
         else:
-            tuck, trace = hooi(A, ranks, opts)
+            tuck, trace = hooi(A, caps, opts, rel_tol=args.tol)
             extra_lines += _trace_lines(trace)
         tio.write_tucker(tuck, args.out)
         achieved = list(tuck.ranks)
@@ -126,7 +116,6 @@ def cmd_decompose(args) -> int:
         T, quality = tt_svd(A, ranks=ranks, rel_tol=args.tol)
         tio.write_tt(T, args.out)
         achieved = list(T.ranks)
-        requested = ranks if ranks is not None else []
         for mu, theta in enumerate(quality.step_qualities, start=1):
             extra_lines.append(f"theta_{mu}={_fmt(theta)}")
         extra_lines.append(f"theta={_fmt(quality.global_quality)}")
@@ -138,8 +127,8 @@ def cmd_decompose(args) -> int:
     print(f"method={args.method}")
     print(f"input={args.input}")
     print(f"dims={_fmt_dims(A.dims)}")
-    if requested:
-        print(f"requested_rank={_fmt_list(requested)}")
+    if ranks:
+        print(f"requested_rank={_fmt_list(ranks)}")
     if args.tol is not None:
         print(f"requested_tol={_fmt(args.tol)}")
     print(f"achieved_rank={_fmt_list(achieved)}")

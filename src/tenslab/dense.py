@@ -163,7 +163,10 @@ def check_dense_cap(dims: Sequence[int], cap: int | None = None) -> None:
 
 
 def _check_multi_index(index: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
+    index = tuple(index)
     idx = tuple(int(i) for i in index)
+    if idx != index:
+        raise ValueError(f"multi-index {index} has a non-integral entry")
     if len(idx) != len(dims):
         raise ValueError(f"multi-index {idx} has {len(idx)} entries for order {len(dims)}")
     for i, n in zip(idx, dims):

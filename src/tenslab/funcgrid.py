@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _check_multi_index
 from .cp import CPDecomposition
 from .tucker import multilinear_apply
 
@@ -96,10 +96,8 @@ class CartesianGrid:
         return tuple(len(m) for m in self.meshes)
 
     def point(self, index: Sequence[int]) -> tuple[float, ...]:
-        idx = [int(i) for i in index]
-        if len(idx) != self.arity:
-            raise ValueError(f"index of length {len(idx)} for arity {self.arity}")
-        return tuple(m.points[i - 1] for m, i in zip(self.meshes, idx))
+        idx = _check_multi_index(index, self.shape)
+        return tuple(m.points[i] for m, i in zip(self.meshes, idx))
 
 
 class MonomialPoly:
@@ -235,15 +233,10 @@ def chebyshev_eval(n: int, x):
     if np.any(np.abs(arr) > 1.0):
         warnings.warn("evaluating a Chebyshev polynomial outside [-1, 1]",
                       stacklevel=2)
-    if n == 0:
-        out = np.ones_like(arr)
-    elif n == 1:
-        out = arr.copy()
-    else:
-        prev, cur = np.ones_like(arr), arr
-        for _ in range(n - 1):
-            prev, cur = cur, 2.0 * arr * cur - prev
-        out = cur
+    prev, cur = np.ones_like(arr), arr.copy()
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * arr * cur - prev
+    out = prev if n == 0 else cur
     return float(out) if np.ndim(x) == 0 else out
 
 

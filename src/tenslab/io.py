@@ -277,10 +277,7 @@ def read_poly(path) -> MonomialPoly:
         terms.append((coeff, exps))
     if not terms:
         raise FormatError(f"{path}: no terms found")
-    try:
-        return MonomialPoly(terms)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _build(path, MonomialPoly, terms)
 
 
 def write_poly(P: MonomialPoly, path) -> None:

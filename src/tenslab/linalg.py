@@ -6,8 +6,8 @@ Every decomposition engine in this package reduces to the routines here.
 reduction over contiguous columns) and fixes the sign ambiguity in place
 (largest-magnitude entry of each left singular vector made nonnegative)
 so that goldens are reproducible; it copies no factor.
-Every truncation to a tolerance goes through :func:`check_tolerance`
-(finite and >= 0) and :func:`truncation_rank` (the one rank rule).
+Every truncating engine calls :meth:`SVDResult.truncate_to`, the one place
+that applies :func:`truncation_rank`; tolerances pass :func:`check_tolerance`.
 :func:`cp_product` and the CP-ALS update share one Khatri-Rao chain,
 which alone fixes the row order of every CP unfolding.
 """
@@ -84,6 +84,12 @@ class SVDResult:
             raise ValueError(f"rank {r} out of range 1..{self.rank}")
         return SVDResult(self.U[:, :r], self.singular_values[:r], self.V[:, :r])
 
+    def truncate_to(self, max_rank: int | None = None,
+                    budget: float | None = None) -> "SVDResult":
+        """:meth:`truncate` to :func:`truncation_rank`; every truncating
+        engine keeps its triplets through this method."""
+        return self.truncate(truncation_rank(self.singular_values, max_rank, budget))
+
     def tail_energy(self, r: int) -> float:
         """Squared reconstruction error of the rank-``r`` truncation."""
         return float(np.sum(self.singular_values[r:] ** 2))
@@ -141,8 +147,7 @@ def svd_to_tolerance(M, rel_tol: float) -> SVDResult:
     """
     check_tolerance(rel_tol)
     full = svd(M)
-    budget = rel_tol ** 2 * float(np.sum(full.singular_values ** 2))
-    return full.truncate(truncation_rank(full.singular_values, budget=budget))
+    return full.truncate_to(budget=rel_tol ** 2 * float(np.sum(full.singular_values ** 2)))
 
 
 def pseudo_inverse(M, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:

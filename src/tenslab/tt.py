@@ -11,7 +11,7 @@ truncated SVDs; ``tt_add`` / ``tt_hadamard`` combine trains without
 leaving the format; ``tt_round`` recompresses a train whose ranks grew.
 A tolerance gives each of their ``d-1`` SVDs the tail budget
 ``rel_tol * ||A|| / sqrt(d-1)`` (Oseledets, SISC 2011), spent by
-:func:`tenslab.linalg.truncation_rank`.
+:meth:`tenslab.linalg.SVDResult.truncate_to`, the one truncation call.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dense import DenseTensor, _check_multi_index, as_tensor, check_dense_cap, norm
-from .linalg import check_tolerance, truncation_rank, svd as _svd
+from .linalg import check_tolerance, svd as _svd
 from .cp import CPDecomposition
 
 __all__ = [
@@ -175,15 +175,13 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
         W = W.reshape(r_prev * n_mu, -1)
         res = _svd(W)
         energy_before = float(np.sum(res.singular_values ** 2))
-        r = truncation_rank(res.singular_values, ranks[mu], budget)
-        kept = res.truncate(r)
-        tail = res.tail_energy(r)
-        cores.append(kept.U.reshape(r_prev, n_mu, r))
+        kept = res.truncate_to(ranks[mu], budget)
+        cores.append(kept.U.reshape(r_prev, n_mu, kept.rank))
         W = (kept.singular_values[:, None] * kept.V.T)
         qualities.append(1.0 if energy_before == 0.0 else
                          float(np.sum(kept.singular_values ** 2)) / energy_before)
-        tails.append(tail)
-        r_prev = r
+        tails.append(res.tail_energy(kept.rank))
+        r_prev = kept.rank
     cores.append(W.reshape(r_prev, dims[-1], 1))
     kept_energy = float(np.sum(W ** 2))
     quality = TTQuality(qualities, tails, norm_a ** 2, kept_energy)
@@ -287,10 +285,8 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
     for mu in range(d - 1):
         r_prev, n, r = cores[mu].shape
         M = cores[mu].reshape(r_prev * n, r)
-        res = _svd(M)
-        k = truncation_rank(res.singular_values, ranks[mu], budget)
-        kept = res.truncate(k)
-        cores[mu] = kept.U.reshape(r_prev, n, k)
+        kept = _svd(M).truncate_to(ranks[mu], budget)
+        cores[mu] = kept.U.reshape(r_prev, n, kept.rank)
         carry = kept.singular_values[:, None] * kept.V.T
         cores[mu + 1] = np.tensordot(carry, cores[mu + 1], axes=(1, 0))
     return TTTensor(cores)

@@ -12,6 +12,7 @@ docstring states the roundoff guard and the stop rule they share.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -149,7 +150,8 @@ def tucker_reconstruct(T: TuckerDecomposition, cap: int | None = None) -> DenseT
     return multilinear_apply(T.core, T.factors)
 
 
-def hosvd(A, ranks: Sequence[int]) -> tuple[TuckerDecomposition, list[np.ndarray]]:
+def hosvd(A, ranks: Sequence[int], rel_tol: float | None = None
+          ) -> tuple[TuckerDecomposition, list[np.ndarray]]:
     """Higher-order SVD at the requested per-mode ranks.
 
     For each mode the tensor is unfolded with that mode as columns and
@@ -158,6 +160,11 @@ def hosvd(A, ranks: Sequence[int]) -> tuple[TuckerDecomposition, list[np.ndarray
     basis the mode-``mu`` slices are pairwise orthogonal with norms
     equal to that unfolding's singular values.  Returns the
     decomposition and the per-mode singular value arrays.
+
+    With ``rel_tol`` the ``ranks`` are caps and each mode keeps a squared
+    tail of at most ``(rel_tol / sqrt(d))**2`` of its unfolding's energy;
+    the tails add up (De Lathauwer et al., SIMAX 2000), so
+    ``||A - M|| <= rel_tol * ||A||``.
     """
     A = as_tensor(A)
     ranks = [int(r) for r in ranks]
@@ -166,26 +173,32 @@ def hosvd(A, ranks: Sequence[int]) -> tuple[TuckerDecomposition, list[np.ndarray
     for r, n in zip(ranks, A.dims):
         if not 1 <= r <= n:
             raise ValueError(f"rank {r} out of range 1..{n}")
+    if rel_tol is not None:
+        check_tolerance(rel_tol)
     factors, spectra = [], []
-    for mu in range(1, A.order + 1):
+    for mu, cap in enumerate(ranks, start=1):
         res = svd(matricize(A, mu).data)
-        spectra.append(res.singular_values.copy())
-        factors.append(res.V[:, :ranks[mu - 1]].copy())
+        s = res.singular_values
+        budget = None if rel_tol is None else \
+            (rel_tol / math.sqrt(A.order)) ** 2 * float(np.sum(s ** 2))
+        spectra.append(s.copy())
+        factors.append(res.truncate_to(cap, budget).V.copy())
     core = multilinear_apply(A, [U.T for U in factors])
     return TuckerDecomposition(core, factors), spectra
 
 
-def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
-         ) -> tuple[TuckerDecomposition, ALSTrace]:
+def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None,
+         rel_tol: float | None = None) -> tuple[TuckerDecomposition, ALSTrace]:
     """Higher-order orthogonal iteration (alternating subspace refinement).
 
-    Starts from :func:`hosvd`.  Each step fixes every subspace but one,
-    projects the tensor onto the fixed subspaces, unfolds with the free
-    mode as columns and takes the leading right singular vectors as the
-    new basis (Gauss-Seidel style: the freshest bases are used within a
-    sweep).  Equivalent to maximizing the core energy, so the
-    reconstruction error never increases across steps.  Returns the
-    decomposition and its :class:`ALSTrace`.
+    Starts from ``hosvd(A, ranks, rel_tol)`` and keeps its ranks; this
+    ``rel_tol`` picks ranks and is not ``opts.rel_tol``, the stop rule.
+    Each step fixes every subspace but one, projects the tensor onto the
+    fixed subspaces, unfolds with the free mode as columns and takes the
+    leading right singular vectors as the new basis (Gauss-Seidel style:
+    the freshest bases are used within a sweep).  Equivalent to maximizing
+    the core energy, so the reconstruction error never increases across
+    steps.  Returns the decomposition and its :class:`ALSTrace`.
 
     With orthonormal factors ``||A - M||**2 = ||A||**2 - ||core||**2``,
     and after a step ``||core||**2`` is the sum of the squared kept
@@ -193,7 +206,8 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
     """
     A = as_tensor(A)
     opts = opts or ALSOptions(max_sweeps=50)
-    tuck, _ = hosvd(A, ranks)
+    tuck, _ = hosvd(A, ranks, rel_tol)
+    ranks = tuck.ranks
     factors = [U.copy() for U in tuck.factors]
     d = A.order
     norm_sq = norm(A) ** 2
@@ -208,9 +222,9 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None
         for mu0 in range(d):
             reducers = [factors[nu].T if nu != mu0 else None for nu in range(d)]
             Y = multilinear_apply(A, reducers)
-            res = svd(matricize(Y, mu0 + 1).data)
-            factors[mu0] = res.V[:, :ranks[mu0]].copy()
-            core_sq = float(np.sum(res.singular_values[:ranks[mu0]] ** 2))
+            kept = svd(matricize(Y, mu0 + 1).data).truncate_to(ranks[mu0])
+            factors[mu0] = kept.V.copy()
+            core_sq = float(np.sum(kept.singular_values ** 2))
             trace.per_block.append(_guarded(norm_sq - core_sq, norm_sq, dense_error))
         if trace.end_sweep(opts.rel_tol, norm_sq):
             break

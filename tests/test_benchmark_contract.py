@@ -70,11 +70,12 @@ def test_hooi_span(tracer, tmp_path, capsys):
     assert layers["linalg.svd.calls"] > 0
 
 
-def test_tolerance_truncation_records_kept_ranks(tracer, tmp_path, capsys):
-    _decompose(tracer, tmp_path, capsys, "--method", "hosvd", "--tol", "0.5")
-    assert {"linalg.svd_to_tolerance", "tucker.hosvd"} <= {s.name for s in tracer.spans}
-    kept = [s.counts["kept"] for s in tracer.spans if s.name == "linalg.svd"]
-    assert kept and all(k >= 1 for k in kept)
+@pytest.mark.parametrize("method", ["hosvd", "hooi"])
+def test_tolerance_truncation_records_kept_ranks(tracer, tmp_path, capsys, method):
+    rep = _decompose(tracer, tmp_path, capsys, "--method", method, "--tol", "0.5")
+    (hosvd,) = [s for s in tracer.spans if s.name == "tucker.hosvd"]
+    svds = [s for s in tracer.spans if s.name == "linalg.svd" and s.parent is hosvd]
+    assert [s.counts["kept"] for s in svds] == [int(r) for r in rep["achieved_rank"].split(",")]
 
 
 def test_tt_tolerance_svd_spans_carry_work_and_kept_rank(tracer, tmp_path, capsys):

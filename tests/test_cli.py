@@ -1,9 +1,11 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+import tenslab.linalg
 from tenslab import DenseTensor, additive_tt, norm, zeros_tt
 from tenslab.cli import main
 from tenslab import CPDecomposition
@@ -483,8 +485,55 @@ class TestTolerance:
         code, _, err = run(capsys, "decompose", str(planted_tucker), "--method", method,
                            "--tol", tol, "--out", str(out_file))
         assert code == 2
-        assert f"got {tol}" in err
+        assert f"--tol must be finite and >= 0, got {tol}" in err
         assert not out_file.exists()
+
+    def test_bad_tol_is_rejected_before_the_input_is_read(self, capsys, tmp_path):
+        code, _, err = run(capsys, "decompose", str(tmp_path / "missing.dten"),
+                           "--method", "tt", "--tol", "nan", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "--tol" in err
+
+    @pytest.mark.parametrize("method", ["tt", "hosvd", "hooi"])
+    def test_tol_run_reports_no_requested_rank(self, capsys, tmp_path, planted_tucker,
+                                               method):
+        code, out, _ = run(capsys, "decompose", str(planted_tucker), "--method", method,
+                           "--tol", "1e-2", "--out", str(tmp_path / "m"))
+        assert code == 0
+        rep = report(out)
+        assert rep["requested_tol"] == "0.01"
+        assert "requested_rank" not in rep
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        """Shapes of the matrices handed to ``linalg.svd`` from any module."""
+        original, shapes = tenslab.linalg.svd, []
+
+        def counted(M):
+            shapes.append(np.shape(M))
+            return original(M)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tenslab"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return shapes
+
+    def test_hosvd_tol_takes_one_svd_per_mode(self, capsys, tmp_path, planted_tucker,
+                                              svd_shapes):
+        code, _, _ = run(capsys, "decompose", str(planted_tucker), "--method", "hosvd",
+                         "--tol", "1e-2", "--out", str(tmp_path / "t.tuck"))
+        assert code == 0
+        assert svd_shapes == [(144, 12)] * 3
+
+    def test_hooi_tol_adds_one_svd_per_mode_and_sweep(self, capsys, tmp_path,
+                                                      planted_tucker, svd_shapes):
+        code, out, _ = run(capsys, "decompose", str(planted_tucker), "--method", "hooi",
+                           "--tol", "1e-2", "--max-sweeps", "3", "--stop-tol", "0",
+                           "--out", str(tmp_path / "t.tuck"))
+        assert code == 0
+        assert len(svd_shapes) == 3 + 3 * int(report(out)["sweeps"])
 
     def test_tucker_tol_above_one_keeps_rank_one(self, capsys, tmp_path, planted_tucker):
         code, out, _ = run(capsys, "decompose", str(planted_tucker), "--method", "hosvd",

@@ -9,6 +9,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from tenslab import (
     CartesianGrid,
+    DenseTensor,
     Mesh,
     MonomialPoly,
     affine_rescaled,
@@ -43,6 +44,15 @@ class TestMeshAndGrid:
         grid = CartesianGrid([Mesh([0.0, 1.0]), Mesh([5.0, 6.0, 7.0])])
         assert grid.shape == (2, 3)
         assert grid.point((2, 3)) == (1.0, 7.0)
+
+    @pytest.mark.parametrize("index", [(0, 1), (1, 4), (1.5, 1), (1, 2, 1)])
+    def test_grid_point_follows_the_dense_index_rule(self, index):
+        grid = CartesianGrid([Mesh([0.0, 1.0]), Mesh([5.0, 6.0, 7.0])])
+        with pytest.raises(ValueError) as grid_err:
+            grid.point(index)
+        with pytest.raises(ValueError) as dense_err:
+            DenseTensor(np.zeros(grid.shape)).entry(index)
+        assert str(grid_err.value) == str(dense_err.value)
 
     def test_poly_merges_duplicates(self):
         P = MonomialPoly([(1.0, (1, 0)), (2.0, (1, 0)), (1.0, (0, 1))])

@@ -166,6 +166,13 @@ class TestEntryAndDense:
             tt_entry(T, index)
         assert str(tt_err.value) == str(dense_err.value)
 
+    def test_fractional_index_is_rejected_by_name(self):
+        T = additive_tt([np.arange(3.0)] * 3)
+        for entry in (DenseTensor(np.zeros(T.dims)).entry, lambda idx: tt_entry(T, idx)):
+            with pytest.raises(ValueError, match=r"\(1\.7, 2\.9, 3\)"):
+                entry((1.7, 2.9, 3))
+        assert tt_entry(T, (2.0, 3, np.int64(1))) == tt_entry(T, (2, 3, 1)) == 3.0
+
     def test_memory_guard(self, rng):
         T = random_tt(rng, (10, 10, 10), (2, 2))
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from tenslab import (
     matricize,
     multilinear_apply,
     norm,
+    svd_to_tolerance,
     tucker_reconstruct,
 )
 
@@ -124,6 +125,27 @@ class TestHOSVD:
         with pytest.raises(ValueError):
             hosvd(rng.standard_normal((2, 2, 2)), (3, 1, 1))
 
+    @given(dims=st.lists(st.integers(2, 5), min_size=2, max_size=4),
+           tol=st.floats(0.0, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_tolerance_splits_evenly_over_the_modes(self, dims, tol, seed):
+        A = DenseTensor(np.random.default_rng(seed).standard_normal(dims))
+        d = len(dims)
+        tuck, _ = hosvd(A, A.dims, rel_tol=tol)
+        per_mode = tol / math.sqrt(d)
+        assert list(tuck.ranks) == [svd_to_tolerance(matricize(A, mu).data, per_mode).rank
+                                    for mu in range(1, d + 1)]
+        err = norm(DenseTensor(A.data - tucker_reconstruct(tuck).data))
+        assert err <= (tol + 1e-12) * norm(A)
+
+    def test_tolerance_ranks_are_capped(self, rng):
+        A = DenseTensor(rng.standard_normal((4, 5, 3)))
+        assert hosvd(A, (2, 5, 1), rel_tol=0.0)[0].ranks == (2, 5, 1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
+    def test_bad_tolerance(self, rng, tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            hosvd(rng.standard_normal((2, 2, 2)), (2, 2, 2), rel_tol=tol)
+
 
 class TestTuckerReconstruct:
     def test_zero_core(self, rng):
@@ -183,6 +205,13 @@ class TestHOOI:
             np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-10)
         assert norm(A) ** 2 == pytest.approx(norm(tuck.core) ** 2 + trace.final,
                                              rel=1e-9)
+
+    def test_tolerance_picks_the_hosvd_ranks_not_the_stop_rule(self, rng):
+        A = DenseTensor(rng.standard_normal((5, 4, 3)))
+        start, _ = hosvd(A, A.dims, rel_tol=0.6)
+        tuck, trace = hooi(A, A.dims, ALSOptions(max_sweeps=3, rel_tol=0.0), rel_tol=0.6)
+        assert tuck.ranks == start.ranks != A.dims
+        assert math.sqrt(trace.final) <= 0.6 * norm(A)
 
     def test_zero_tensor_stops_after_one_sweep(self):
         _, trace = hooi(np.zeros((3, 3, 3)), (2, 2, 2))
