@@ -162,11 +162,17 @@ def check_dense_cap(dims: Sequence[int], cap: int | None = None) -> None:
                             f"raise the cap explicitly to override")
 
 
+def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as ints; a fractional entry is rejected, never truncated."""
+    values = tuple(values)
+    ints = tuple(int(v) for v in values)
+    if ints != values:
+        raise ValueError(f"{what} {values} has a non-integral entry")
+    return ints
+
+
 def _check_multi_index(index: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
-    index = tuple(index)
-    idx = tuple(int(i) for i in index)
-    if idx != index:
-        raise ValueError(f"multi-index {index} has a non-integral entry")
+    idx = _integers(index, "multi-index")
     if len(idx) != len(dims):
         raise ValueError(f"multi-index {idx} has {len(idx)} entries for order {len(dims)}")
     for i, n in zip(idx, dims):
@@ -265,8 +271,8 @@ def slice_tensor(A, fixed_modes: Sequence[int], fixed_values: Sequence[int]) -> 
     order.  Fixing every mode yields a dims ``[1]`` scalar wrapper.
     """
     A = as_tensor(A)
-    modes = [int(m) for m in fixed_modes]
-    vals = [int(v) for v in fixed_values]
+    modes = list(_integers(fixed_modes, "fixed_modes"))
+    vals = _integers(fixed_values, "fixed_values")
     if len(modes) != len(vals):
         raise ValueError("fixed_modes and fixed_values must have equal length")
     if len(set(modes)) != len(modes):

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _check_multi_index
+from .dense import DenseTensor, _check_multi_index, _integers
 from .cp import CPDecomposition
 from .tucker import multilinear_apply
 
@@ -115,7 +115,7 @@ class MonomialPoly:
         arity = len(tuple(terms[0][1]))
         merged: dict[tuple[int, ...], float] = {}
         for coeff, exps in terms:
-            e = tuple(int(k) for k in exps)
+            e = _integers(exps, "exponent tuple")
             if len(e) != arity:
                 raise ValueError("all exponent lists must have the same length")
             if any(k < 0 for k in e):

@@ -12,6 +12,10 @@ Binary layouts are little-endian and fully deterministic:
   dims, ``d+1`` u64 chain ranks (boundary 1s included), then the cores
   in storage order.
 
+Each binary format is its header fields followed by contiguous f64 blocks in
+the listed order; the file's length is checked before anything is allocated,
+and the values are copied once out of the file's bytes.
+
 Model files (CPD1, TUCK1, TTEN1) must hold finite values, positive dims
 and ranks, and a model their constructor accepts; anything else is a
 :class:`FormatError`.  Dense files may hold any float.
@@ -55,52 +59,61 @@ class FormatError(ValueError):
     """Raised when a file does not follow its declared format."""
 
 
-def _check_magic(data: bytes, magic: bytes, path) -> int:
-    if len(data) < len(magic) or data[:len(magic)] != magic:
-        offset = next((i for i in range(min(len(magic), len(data)))
-                       if data[i:i + 1] != magic[i:i + 1]), min(len(data), len(magic)))
-        raise FormatError(
-            f"{path}: bad magic, first mismatch at byte offset {offset} "
-            f"(expected {magic!r})")
-    return len(magic)
-
-
 class _Reader:
-    def __init__(self, data: bytes, pos: int, path):
-        self.data, self.pos, self.path = data, pos, path
+    """A binary file: its magic, u32/u64 header fields, then contiguous f64 blocks."""
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def __init__(self, path: Path, magic: bytes):
+        self.path, self.data = path, path.read_bytes()
+        if self.data[:len(magic)] != magic:
+            offset = next(i for i in range(len(magic)) if self.data[i:i + 1] != magic[i:i + 1])
+            raise FormatError(
+                f"{path}: bad magic, first mismatch at byte offset {offset} "
+                f"(expected {magic!r})")
+        self.pos = len(magic)
+
+    def u32s(self, n: int) -> tuple[int, ...]:
+        return self._fields(f"<{n}I")
+
+    def u64s(self, n: int) -> tuple[int, ...]:
+        return self._fields(f"<{n}Q")
+
+    def _fields(self, fmt: str) -> tuple[int, ...]:
+        size = struct.calcsize(fmt)
+        if self.pos + size > len(self.data):
             raise FormatError(
                 f"{self.path}: truncated at byte offset {self.pos} "
-                f"(needed {n} more bytes)")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64s(self, count: int) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}Q", self.take(8 * count))
-
-    def f64s(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
-
-    def finite_f64s(self, count: int) -> np.ndarray:
-        """Model values: a NaN or infinity is a malformed file, not a number."""
-        start = self.pos
-        values = self.f64s(count)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise FormatError(
-                f"{self.path}: non-finite value at byte offset {start + 8 * int(bad[0])}")
+                f"(needed {size} more bytes)")
+        values = struct.unpack_from(fmt, self.data, self.pos)
+        self.pos += size
         return values
 
-    def done(self) -> None:
-        if self.pos != len(self.data):
+    def payload(self, shapes, finite: bool = True) -> list[np.ndarray]:
+        """The rest of the file as one float64 array per shape: the length is checked
+        before anything is allocated, then each block is copied once (aligned, writable)."""
+        sizes = [math.prod(shape) for shape in shapes]
+        have, need = len(self.data) - self.pos, 8 * sum(sizes)
+        if have < need:
             raise FormatError(
-                f"{self.path}: {len(self.data) - self.pos} unexpected trailing bytes")
+                f"{self.path}: truncated at byte offset {self.pos} "
+                f"(needed {need} more bytes)")
+        if have > need:
+            raise FormatError(f"{self.path}: {have - need} unexpected trailing bytes")
+        flat = np.frombuffer(self.data, "<f8", sum(sizes), self.pos)
+        if finite:
+            bad = np.flatnonzero(~np.isfinite(flat))
+            if bad.size:
+                raise FormatError(
+                    f"{self.path}: non-finite value at byte offset {self.pos + 8 * int(bad[0])}")
+        blocks = np.split(flat, np.cumsum(sizes)[:-1])
+        return [b.astype(np.float64).reshape(shape) for b, shape in zip(blocks, shapes)]
+
+
+def _write(path, magic: bytes, u32s, u64s, arrays) -> None:
+    """``magic``, the u32 then the u64 header fields, then each array as f64 row-major."""
+    with Path(path).open("wb") as f:
+        f.write(magic + struct.pack(f"<{len(u32s)}I{len(u64s)}Q", *u32s, *u64s))
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def _build(path, make, *args):
@@ -111,15 +124,6 @@ def _build(path, make, *args):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _pack_u64s(values) -> bytes:
-    vals = [int(v) for v in values]
-    return struct.pack(f"<{len(vals)}Q", *vals)
-
-
-def _pack_f64s(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def write_dense(A: DenseTensor, path) -> None:
     path = Path(path)
     if path.suffix == ".dtent":
@@ -127,9 +131,7 @@ def write_dense(A: DenseTensor, path) -> None:
         parts.append(" ".join(repr(float(v)) for v in A.values))
         path.write_text("\n".join(parts) + "\n")
         return
-    blob = MAGIC_DENSE + struct.pack("<I", A.order) + _pack_u64s(A.dims) \
-        + _pack_f64s(A.values)
-    path.write_bytes(blob)
+    _write(path, MAGIC_DENSE, [A.order], A.dims, [A.data])
 
 
 def read_dense(path) -> DenseTensor:
@@ -145,84 +147,59 @@ def read_dense(path) -> DenseTensor:
         except ValueError as exc:
             raise FormatError(f"{path}: malformed text tensor: {exc}") from exc
         return _build(path, DenseTensor.from_flat, dims, values)
-    data = path.read_bytes()
-    r = _Reader(data, _check_magic(data, MAGIC_DENSE, path), path)
-    d = r.u32()
+    r = _Reader(path, MAGIC_DENSE)
+    d, = r.u32s(1)
     dims = r.u64s(d)
-    n = math.prod(dims) if d else 0
-    values = r.f64s(n)
-    r.done()
+    values, = r.payload([dims if d else (0,)], finite=False)   # order 0: no values, not one
     return _build(path, DenseTensor.from_flat, dims, values)
 
 
 def write_cp(cp: CPDecomposition, path) -> None:
-    blob = MAGIC_CP + struct.pack("<II", cp.order, cp.rank) \
-        + _pack_u64s(cp.dims) + _pack_f64s(cp.weights)
-    for X in cp.factors:
-        blob += _pack_f64s(X)
-    Path(path).write_bytes(blob)
+    _write(path, MAGIC_CP, [cp.order, cp.rank], cp.dims, [cp.weights, *cp.factors])
 
 
 def read_cp(path) -> CPDecomposition:
     path = Path(path)
-    data = path.read_bytes()
-    r = _Reader(data, _check_magic(data, MAGIC_CP, path), path)
-    d = r.u32()
-    rank = r.u32()
+    r = _Reader(path, MAGIC_CP)
+    d, rank = r.u32s(2)
     dims = r.u64s(d)
     if not d or not rank or 0 in dims:
         raise FormatError(f"{path}: order {d}, rank {rank} and dims {dims} must be positive")
-    weights = r.finite_f64s(rank)
-    factors = [r.finite_f64s(n * rank).reshape(n, rank) for n in dims]
-    r.done()
+    weights, *factors = r.payload([(rank,)] + [(n, rank) for n in dims])
     return _build(path, CPDecomposition, weights, factors)
 
 
 def write_tucker(T: TuckerDecomposition, path) -> None:
-    blob = MAGIC_TUCKER + struct.pack("<I", T.core.order) \
-        + _pack_u64s(T.dims) + _pack_u64s(T.ranks) + _pack_f64s(T.core.values)
-    for U in T.factors:
-        blob += _pack_f64s(U)
-    Path(path).write_bytes(blob)
+    _write(path, MAGIC_TUCKER, [T.core.order], T.dims + T.ranks, [T.core.data, *T.factors])
 
 
 def read_tucker(path) -> TuckerDecomposition:
     path = Path(path)
-    data = path.read_bytes()
-    r = _Reader(data, _check_magic(data, MAGIC_TUCKER, path), path)
-    d = r.u32()
+    r = _Reader(path, MAGIC_TUCKER)
+    d, = r.u32s(1)
     dims = r.u64s(d)
     ranks = r.u64s(d)
     if not d or 0 in dims or 0 in ranks:
         raise FormatError(f"{path}: order {d}, dims {dims} and ranks {ranks} must be positive")
-    core = r.finite_f64s(math.prod(ranks)).reshape(ranks)
-    factors = [r.finite_f64s(n * k).reshape(n, k) for n, k in zip(dims, ranks)]
-    r.done()
+    core, *factors = r.payload([ranks] + list(zip(dims, ranks)))
     return _build(path, TuckerDecomposition, core, factors)
 
 
 def write_tt(T: TTTensor, path) -> None:
-    blob = MAGIC_TT + struct.pack("<I", T.order) \
-        + _pack_u64s(T.dims) + _pack_u64s(T.full_ranks)
-    for G in T.cores:
-        blob += _pack_f64s(G)
-    Path(path).write_bytes(blob)
+    _write(path, MAGIC_TT, [T.order], T.dims + T.full_ranks, T.cores)
 
 
 def read_tt(path) -> TTTensor:
     path = Path(path)
-    data = path.read_bytes()
-    r = _Reader(data, _check_magic(data, MAGIC_TT, path), path)
-    d = r.u32()
+    r = _Reader(path, MAGIC_TT)
+    d, = r.u32s(1)
     dims = r.u64s(d)
     chain = r.u64s(d + 1)
     if chain[0] != 1 or chain[-1] != 1:
         raise FormatError(f"{path}: boundary ranks must be 1, got {chain}")
     if 0 in chain or 0 in dims:
         raise FormatError(f"{path}: dims {dims} and chain ranks {chain} must be positive")
-    cores = [r.finite_f64s(chain[mu] * dims[mu] * chain[mu + 1]).reshape(
-        chain[mu], dims[mu], chain[mu + 1]) for mu in range(d)]
-    r.done()
+    cores = r.payload([(chain[mu], dims[mu], chain[mu + 1]) for mu in range(d)])
     return _build(path, TTTensor, cores)
 
 

@@ -129,6 +129,20 @@ class TestSlice:
         with pytest.raises(ValueError):
             slice_tensor(A, (1,), (3,))
 
+    @pytest.mark.parametrize("modes, values, named", [
+        ((1,), (1.7,), r"fixed_values \(1\.7,\) has a non-integral entry"),
+        ((1.9,), (2,), r"fixed_modes \(1\.9,\) has a non-integral entry"),
+    ], ids=["value", "mode"])
+    def test_fractional_mode_or_value_rejected(self, modes, values, named):
+        A = DenseTensor(np.arange(9.0).reshape(3, 3))
+        with pytest.raises(ValueError, match=named):
+            slice_tensor(A, modes, values)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        A = DenseTensor(np.arange(9.0).reshape(3, 3))
+        S = slice_tensor(A, (np.int64(1),), (2.0,))
+        np.testing.assert_array_equal(S.data, [3.0, 4.0, 5.0])
+
 
 class TestReshape:
     def test_five_mode_partition(self, rng):

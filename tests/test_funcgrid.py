@@ -70,6 +70,11 @@ class TestMeshAndGrid:
         with pytest.raises(ValueError):
             MonomialPoly([(1.0, (-1,))])
 
+    def test_poly_rejects_fractional_exponent(self):
+        with pytest.raises(ValueError, match=r"exponent tuple \(1\.5, 2\) has a non-integral"):
+            MonomialPoly([(1.0, (1.5, 2))])
+        assert MonomialPoly([(1.0, (1.0, np.int64(2)))]).terms == [(1.0, (1, 2))]
+
 
 class TestDiscretize:
     def test_identity_function(self):

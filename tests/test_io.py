@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,30 @@ from tenslab.funcgrid import Mesh
 from tenslab.tucker import TuckerDecomposition
 
 
+def _binary_cases():
+    """Per format: writer, reader, a model, its magic, its header fields as
+    ``(struct code, values)`` in file order, and its f64 blocks in file order."""
+    rng = np.random.default_rng(11)
+    A = DenseTensor(rng.standard_normal((3, 2, 4)))
+    cp = CPDecomposition.from_factors([rng.standard_normal((n, 2)) for n in A.dims])
+    tucker = hosvd(A, (2, 2, 3))[0]
+    tt = tt_svd(A, ranks=(2, 2))[0]
+    return {
+        "DTEN1": (write_dense, read_dense, A, b"DTEN1\n",
+                  [("I", [3]), ("Q", [3, 2, 4])], lambda m: [m.data]),
+        "CPD1": (write_cp, read_cp, cp, b"CPD1\n",
+                 [("I", [3, 2]), ("Q", [3, 2, 4])], lambda m: [m.weights, *m.factors]),
+        "TUCK1": (write_tucker, read_tucker, tucker, b"TUCK1\n",
+                  [("I", [3]), ("Q", [3, 2, 4]), ("Q", [2, 2, 3])],
+                  lambda m: [m.core.data, *m.factors]),
+        "TTEN1": (write_tt, read_tt, tt, b"TTEN1\n",
+                  [("I", [3]), ("Q", [3, 2, 4]), ("Q", [1, 2, 2, 1])], lambda m: m.cores),
+    }
+
+
+BINARY_CASES = _binary_cases()
+
+
 class TestDenseFormats:
     def test_binary_round_trip(self, rng, tmp_path):
         A = DenseTensor(rng.standard_normal((3, 4, 2)))
@@ -48,15 +73,25 @@ class TestDenseFormats:
         write_dense(A, p)
         assert read_dense(p) == A
 
-    def test_layout_is_documented_binary(self, tmp_path):
-        A = DenseTensor.from_flat((2, 2), [1.0, 2.0, 3.0, 4.0])
-        p = tmp_path / "a.dten"
-        write_dense(A, p)
+    @pytest.mark.parametrize("fmt", BINARY_CASES)
+    def test_layout_is_documented_binary(self, tmp_path, fmt):
+        # decoded by hand from the io module docstring: magic, header fields
+        # in order, then each block's values row-major, nothing after them
+        write, _, model, magic, fields, blocks = BINARY_CASES[fmt]
+        p = tmp_path / "f.bin"
+        write(model, p)
         blob = p.read_bytes()
-        assert blob[:6] == b"DTEN1\n"
-        assert int.from_bytes(blob[6:10], "little") == 2
-        assert int.from_bytes(blob[10:18], "little") == 2
-        assert np.frombuffer(blob[26:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert blob[:len(magic)] == magic
+        pos = len(magic)
+        for code, expected in fields:
+            layout = f"<{len(expected)}{code}"
+            assert list(struct.unpack_from(layout, blob, pos)) == expected
+            pos += struct.calcsize(layout)
+        for block in blocks(model):
+            values = block.reshape(-1).tolist()
+            assert np.frombuffer(blob, "<f8", len(values), pos).tolist() == values
+            pos += 8 * len(values)
+        assert pos == len(blob)
 
     def test_bad_magic_names_offset(self, fixtures_dir):
         with pytest.raises(FormatError, match="byte offset 2"):
@@ -262,6 +297,30 @@ class TestHostileFiles:
 
 
 class TestReadCost:
+    @pytest.mark.parametrize("fmt", BINARY_CASES)
+    def test_arrays_are_aligned_writable_native(self, tmp_path, fmt):
+        # a zero-copy view of the file's bytes would be read-only, and
+        # misaligned wherever the header length is not a multiple of 8
+        write, read, model, _, _, blocks = BINARY_CASES[fmt]
+        p = tmp_path / "f.bin"
+        write(model, p)
+        for a in blocks(read(p)):
+            assert a.dtype == np.float64 and a.dtype.isnative
+            assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+
+    def test_read_dense_copies_the_payload_once(self, tmp_path):
+        A = DenseTensor(np.arange(2.0 ** 17).reshape(64, 2048))    # 1 MiB of values
+        p = tmp_path / "a.dten"
+        write_dense(A, p)
+        tracemalloc.start()
+        try:
+            read_dense(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes and one array: 2.0x
+        assert peak <= 2.1 * A.data.nbytes
+
     def test_read_decomposition_reads_the_file_once(self, tmp_path, rng, monkeypatch):
         T, _ = tt_svd(rng.standard_normal((4, 4, 4)), ranks=(2, 2))
         p = tmp_path / "t.tten"
