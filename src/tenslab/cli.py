@@ -44,11 +44,11 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_dims(dims) -> str:
-    return "x".join(str(int(n)) for n in dims)
+    return "x".join(str(n) for n in dims)
 
 
 def _fmt_list(values) -> str:
-    return ",".join(str(int(v)) for v in values)
+    return ",".join(str(v) for v in values)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -85,20 +85,18 @@ def cmd_decompose(args) -> int:
         check_tolerance(args.tol, "--tol")
     if args.max_sweeps < 1:
         raise UsageError(f"--max-sweeps must be >= 1, got {args.max_sweeps}")
+    if (args.rank is None) == (args.tol is None):
+        raise UsageError("give exactly one of --rank and --tol")
+    ranks = _parse_int_list(args.rank, "--rank") if args.rank is not None else None
+    if args.method == "cp" and (ranks is None or len(ranks) != 1):
+        raise UsageError("cp takes one --rank value; tolerance-driven CP is not supported")
     opts = ALSOptions(max_sweeps=args.max_sweeps, rel_tol=args.stop_tol, seed=args.seed)
     A = tio.read_dense(args.input)
     if np.any(~np.isfinite(A.data)):
         raise NumericError(f"{args.input}: input contains non-finite values")
-    if (args.rank is None) == (args.tol is None):
-        raise UsageError("give exactly one of --rank and --tol")
-    ranks = _parse_int_list(args.rank, "--rank") if args.rank is not None else None
     extra_lines: list[str] = []
 
     if args.method == "cp":
-        if ranks is not None and len(ranks) != 1:
-            raise UsageError("cp takes a single --rank value")
-        if ranks is None:
-            raise UsageError("cp requires --rank (tolerance-driven CP is not supported)")
         cp, trace = cp_als(A, ranks[0], opts)
         tio.write_cp(cp, args.out)
         achieved = [cp.rank]
@@ -153,9 +151,7 @@ def _densify(obj, cap) -> DenseTensor:
         return cp_reconstruct(obj, cap)
     if isinstance(obj, TuckerDecomposition):
         return tucker_reconstruct(obj, cap)
-    if isinstance(obj, TTTensor):
-        return tt_reconstruct(obj, cap)
-    raise UsageError(f"cannot densify object of type {type(obj).__name__}")
+    return tt_reconstruct(obj, cap)
 
 
 def cmd_reconstruct(args) -> int:

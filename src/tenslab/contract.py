@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, matricize_general, tensor_product
+from .dense import DenseTensor, _integers, _one_based, as_tensor, matricize_general, \
+    tensor_product
 
 __all__ = [
     "contract",
@@ -23,12 +24,11 @@ __all__ = [
 ]
 
 
-def _check_mode_subset(modes: Sequence[int], order: int) -> list[int]:
-    J = [int(m) for m in modes]
-    if J != sorted(set(J)):
+def _check_mode_subset(modes: Sequence[int], order: int) -> tuple[int, ...]:
+    """The strictly increasing 1-based ``modes`` as 0-based positions."""
+    J = _one_based(modes, order, "mode subset")
+    if list(J) != sorted(set(J)):
         raise ValueError(f"mode subset {modes} must be strictly increasing")
-    if any(not 1 <= m <= order for m in J):
-        raise ValueError(f"mode subset {modes} out of range for order {order}")
     return J
 
 
@@ -46,15 +46,13 @@ def contract(A, X, modes: Sequence[int]) -> DenseTensor:
         if X.dims != (1,):
             raise ValueError("contraction over no modes expects a dims [1] scalar")
         return DenseTensor(A.data * X.values[0])
-    expected = tuple(A.dims[m - 1] for m in J)
+    expected = tuple(A.dims[m] for m in J)
     if X.dims != expected:
-        raise ValueError(f"X dims {X.dims} do not match A restricted to {J}: {expected}")
-    mat = matricize_general(A, J).data          # rows: surviving modes, cols: J
+        raise ValueError(f"X dims {X.dims} do not match A restricted to {modes}: {expected}")
+    mat = matricize_general(A, [m + 1 for m in J]).data    # rows: surviving modes, cols: J
     out = mat @ X.values
-    rest = [m for m in range(1, A.order + 1) if m not in J]
-    if not rest:
-        return DenseTensor(out.reshape(1))
-    return DenseTensor(out.reshape(tuple(A.dims[m - 1] for m in rest)))
+    rest = tuple(n for m, n in enumerate(A.dims) if m not in J)
+    return DenseTensor(out.reshape(rest or 1))
 
 
 def contract_sequence(A, steps: Sequence[tuple]) -> DenseTensor:
@@ -68,16 +66,13 @@ def contract_sequence(A, steps: Sequence[tuple]) -> DenseTensor:
     """
     A = as_tensor(A)
     current = A
-    alive = list(range(1, A.order + 1))         # original labels of surviving modes
-    for X, J in steps:
-        J = _check_mode_subset(J, A.order)
-        try:
-            local = [alive.index(m) + 1 for m in J]
-        except ValueError:
-            gone = [m for m in J if m not in alive]
-            raise ValueError(
-                f"modes {gone} were already contracted away (overlapping steps)")
-        current = contract(current, X, local)
+    alive = list(range(A.order))                # original positions of surviving modes
+    for X, modes in steps:
+        J = _check_mode_subset(modes, A.order)
+        gone = [m + 1 for m in J if m not in alive]
+        if gone:
+            raise ValueError(f"modes {gone} were already contracted away (overlapping steps)")
+        current = contract(current, X, [alive.index(m) + 1 for m in J])
         alive = [m for m in alive if m not in J]
     return current
 
@@ -90,9 +85,9 @@ def structure_tensor_matvec(m: int, n: int) -> DenseTensor:
     nonzero coefficients are ``B[(i,j), j, i] = 1``, so
     ``apply_bilinear(B, vec(A), x) == A @ x`` for any ``A`` and ``x``.
     """
-    m, n = int(m), int(n)
+    m, n = _integers((m, n), "matrix dimensions")
     if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be positive")
+        raise ValueError(f"matrix dimensions {m}x{n} must be positive")
     B = np.zeros((m, n, n, m))
     i, j = np.indices((m, n))
     B[i, j, j, i] = 1.0

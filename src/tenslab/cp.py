@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
+from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
 from .linalg import RANK_CUTOFF, _khatri_rao_others, cp_product
 from . import tucker as _tucker
 from .tucker import ALSOptions, ALSTrace, _guarded
@@ -148,8 +148,9 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     identity in the module docstring.
     """
     A = as_tensor(A)
+    r = _integers([r], "rank")[0]
     if r < 1:
-        raise ValueError("rank must be >= 1")
+        raise ValueError(f"rank {r} must be >= 1")
     if np.any(~np.isfinite(A.data)):
         raise ValueError("input tensor contains non-finite entries")
     opts = opts or ALSOptions()
@@ -285,7 +286,7 @@ def cp_rank_lower_bound(dims: Sequence[int]) -> int:
     Counts parameters of a rank-``r`` model modulo its ``d - 1`` scale
     redundancies: ``ceil(prod(n) / (sum(n) - d + 1))``.
     """
-    dims = [int(n) for n in dims]
+    dims = _integers(dims, "dims")
     if any(n < 1 for n in dims):
         raise ValueError(f"invalid dims {dims}")
     d = len(dims)

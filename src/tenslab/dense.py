@@ -10,6 +10,8 @@ Conventions used across the package:
 * modes are numbered ``1..d`` at the user-facing surface, matching the
   usual mathematical convention; internally everything is 0-based numpy,
 * multi-indices handed to ``entry``-style accessors are 1-based as well,
+* every mode, index and count a caller passes must be integral (fractions
+  are rejected, never truncated); 1-based positions must lie in ``1..n``,
 * raw ``numpy`` arrays are accepted anywhere a :class:`DenseTensor` is,
   and ``.data`` exposes the underlying (C-contiguous, float64) array.
 
@@ -72,13 +74,13 @@ class DenseTensor:
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.size == 0:
-            raise ValueError("tensor must have at least one entry per mode")
+            raise ValueError(f"tensor of dims {arr.shape} needs at least one entry per mode")
         self.data = arr
 
     @classmethod
     def from_flat(cls, dims: Sequence[int], values: Iterable[float]) -> "DenseTensor":
         """Build a tensor from a dimension list and a flat value list."""
-        dims = tuple(int(n) for n in dims)
+        dims = _integers(dims, "dims")
         if not dims or any(n < 1 for n in dims):
             raise ValueError(f"invalid dims {dims}: need d >= 1 and every n >= 1")
         vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
@@ -90,7 +92,7 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "DenseTensor":
-        return cls(np.zeros(tuple(int(n) for n in dims)))
+        return cls(np.zeros(_integers(dims, "dims")))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -150,7 +152,7 @@ class DenseCapError(ValueError):
 def dense_cap(override: int | None = None) -> int:
     """Densification guard: max entries a reconstruction may produce."""
     if override is not None:
-        return int(override)
+        return _integers([override], "dense cap")[0]
     return int(os.environ.get("TENSLAB_DENSE_CAP", DEFAULT_DENSE_CAP))
 
 
@@ -162,23 +164,35 @@ def check_dense_cap(dims: Sequence[int], cap: int | None = None) -> None:
                             f"raise the cap explicitly to override")
 
 
-def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``values`` as ints; a fractional entry is rejected, never truncated."""
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as ints; a fractional or non-finite entry is rejected, never truncated."""
     values = tuple(values)
-    ints = tuple(int(v) for v in values)
+    try:
+        ints = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != values:
         raise ValueError(f"{what} {values} has a non-integral entry")
     return ints
 
 
+def _one_based(values: Iterable[int], bounds, what: str) -> tuple[int, ...]:
+    """1-based positions as 0-based ints, each checked against ``1..bound``
+    (``bounds`` holds one bound per value, or one int for all of them)."""
+    ints = _integers(values, what)
+    if isinstance(bounds, int):
+        bounds = [bounds] * len(ints)
+    for i, n in zip(ints, bounds):
+        if not 1 <= i <= n:
+            raise ValueError(f"{what} {ints} out of range: {i} is not in 1..{n}")
+    return tuple(i - 1 for i in ints)
+
+
 def _check_multi_index(index: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
-    idx = _integers(index, "multi-index")
+    idx = tuple(index)
     if len(idx) != len(dims):
         raise ValueError(f"multi-index {idx} has {len(idx)} entries for order {len(dims)}")
-    for i, n in zip(idx, dims):
-        if not 1 <= i <= n:
-            raise ValueError(f"index {idx} out of range for dims {dims} (1-based)")
-    return tuple(i - 1 for i in idx)
+    return _one_based(idx, dims, "multi-index")
 
 
 class Permutation:
@@ -192,7 +206,7 @@ class Permutation:
     __slots__ = ("image",)
 
     def __init__(self, image: Sequence[int]):
-        img = tuple(int(s) for s in image)
+        img = _integers(image, "permutation")
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"{img} is not a permutation of 1..{len(img)}")
         self.image = img
@@ -205,7 +219,7 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, mu: int) -> int:
-        return self.image[mu - 1]
+        return self.image[_one_based([mu], len(self.image), "mode")[0]]
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.image)
@@ -271,19 +285,15 @@ def slice_tensor(A, fixed_modes: Sequence[int], fixed_values: Sequence[int]) -> 
     order.  Fixing every mode yields a dims ``[1]`` scalar wrapper.
     """
     A = as_tensor(A)
-    modes = list(_integers(fixed_modes, "fixed_modes"))
-    vals = _integers(fixed_values, "fixed_values")
-    if len(modes) != len(vals):
+    modes = _one_based(fixed_modes, A.order, "fixed_modes")
+    if len(modes) != len(fixed_values):
         raise ValueError("fixed_modes and fixed_values must have equal length")
     if len(set(modes)) != len(modes):
-        raise ValueError(f"repeated mode in {modes}")
+        raise ValueError(f"repeated mode in {fixed_modes}")
+    sizes = [A.dims[m] for m in modes]
     key: list = [slice(None)] * A.order
-    for m, v in zip(modes, vals):
-        if not 1 <= m <= A.order:
-            raise ValueError(f"mode {m} out of range for order {A.order}")
-        if not 1 <= v <= A.dims[m - 1]:
-            raise ValueError(f"index {v} out of range for mode {m} of size {A.dims[m - 1]}")
-        key[m - 1] = v - 1
+    for m, i in zip(modes, _one_based(fixed_values, sizes, "fixed_values")):
+        key[m] = i
     out = A.data[tuple(key)]
     if out.ndim == 0:
         out = out.reshape(1)
@@ -291,7 +301,7 @@ def slice_tensor(A, fixed_modes: Sequence[int], fixed_values: Sequence[int]) -> 
 
 
 def _check_partition(partition: Sequence[Sequence[int]], d: int) -> list[list[int]]:
-    blocks = [sorted(int(m) for m in blk) for blk in partition]
+    blocks = [sorted(_integers(blk, "partition block")) for blk in partition]
     flat = [m for blk in blocks for m in blk]
     if flat != list(range(1, d + 1)):
         raise ValueError(
@@ -324,11 +334,7 @@ def matricize(A, column_mode: int) -> DenseTensor:
     An order-2 input returns itself for ``column_mode=2`` and its
     transpose for ``column_mode=1``.
     """
-    A = as_tensor(A)
-    mu = int(column_mode)
-    if not 1 <= mu <= A.order:
-        raise ValueError(f"mode {mu} out of range for order {A.order}")
-    return matricize_general(A, [mu])
+    return matricize_general(A, [column_mode])
 
 
 def matricize_general(A, column_modes: Sequence[int]) -> DenseTensor:
@@ -337,14 +343,11 @@ def matricize_general(A, column_modes: Sequence[int]) -> DenseTensor:
     Both index groups are flattened row-major in ascending mode order.
     """
     A = as_tensor(A)
-    cols = sorted(int(m) for m in column_modes)
-    if len(set(cols)) != len(cols) or any(not 1 <= m <= A.order for m in cols):
-        raise ValueError(f"invalid column modes {column_modes} for order {A.order}")
-    rows = [m for m in range(1, A.order + 1) if m not in cols]
-    axes = [m - 1 for m in rows + cols]
-    n_rows = math.prod(A.dims[m - 1] for m in rows) if rows else 1
-    n_cols = math.prod(A.dims[m - 1] for m in cols) if cols else 1
-    mat = np.transpose(A.data, axes).reshape(n_rows, n_cols)
+    cols = sorted(_one_based(column_modes, A.order, "column modes"))
+    if len(set(cols)) != len(cols):
+        raise ValueError(f"repeated mode in column modes {column_modes}")
+    rows = [m for m in range(A.order) if m not in cols]
+    mat = np.transpose(A.data, rows + cols).reshape(math.prod(A.dims[m] for m in rows), -1)
     return DenseTensor(mat)
 
 

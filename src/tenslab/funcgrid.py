@@ -63,6 +63,9 @@ class Mesh:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, n: int) -> "Mesh":
+        n = _integers([n], "mesh size")[0]
+        if n < 1:
+            raise ValueError(f"mesh size {n} must be >= 1")
         ends = cls((lo,) if n == 1 else (lo, hi))   # checks the end points
         return ends if n in (1, 2) else cls(np.linspace(lo, hi, n))
 
@@ -226,9 +229,9 @@ def chebyshev_eval(n: int, x):
     Bounded by 1 on ``[-1, 1]``; values outside the interval are allowed
     (polynomial extension) but flagged with a warning.
     """
-    n = int(n)
+    n = _integers([n], "degree")[0]
     if n < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValueError(f"degree {n} must be >= 0")
     arr = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(arr) > 1.0):
         warnings.warn("evaluating a Chebyshev polynomial outside [-1, 1]",
@@ -284,7 +287,7 @@ def cheb_project(f: Callable | MonomialPoly, degrees: Sequence[int]) -> DenseTen
     Exact (up to roundoff) whenever ``f`` is a polynomial within the
     degree bounds.  The coefficient tensor has dims ``(degrees[mu] + 1)``.
     """
-    degs = [int(r) for r in degrees]
+    degs = _integers(degrees, "degree bounds")
     if not degs or any(r < 0 for r in degs):
         raise ValueError(f"invalid degree bounds {degrees}")
     m = 2 * (max(degs) + 1)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor
+from .dense import DenseTensor, _integers, _one_based, as_tensor
 
 __all__ = [
     "SVDResult",
@@ -182,7 +182,7 @@ def khatri_rao(A, B) -> np.ndarray:
 
 
 def _check_blocks(splits: Sequence[int], size: int, what: str) -> list[int]:
-    pts = [0] + [int(s) for s in splits] + [size]
+    pts = [0, *_integers(splits, f"{what} split points"), size]
     if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
         raise ValueError(f"{what} split points {list(splits)} do not tile 0..{size}")
     return pts
@@ -263,12 +263,10 @@ def cur(A, rows: Sequence[int], cols: Sequence[int],
     numerically singular intersection raises.
     """
     A = _as_matrix(A)
-    I = [int(i) - 1 for i in rows]
-    J = [int(j) - 1 for j in cols]
+    I = list(_one_based(rows, A.shape[0], "rows"))
+    J = list(_one_based(cols, A.shape[1], "cols"))
     if len(I) != len(J):
         raise ValueError("need equally many rows and columns")
-    if any(not 0 <= i < A.shape[0] for i in I) or any(not 0 <= j < A.shape[1] for j in J):
-        raise ValueError("row/column index out of range (1-based)")
     Ahat = A[np.ix_(I, J)]
     s = np.linalg.svd(Ahat, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= rank_cutoff * s[0]:
@@ -285,12 +283,13 @@ def greedy_cur_pivots(A, r: int) -> tuple[list[int], list[int]]:
     eliminates its cross.  A heuristic for near-maximal volume, not an
     optimality guarantee.
     """
+    r = _integers([r], "rank")[0]
     E = _as_matrix(A).copy()
     rows, cols = [], []
     for _ in range(r):
         i, j = np.unravel_index(np.argmax(np.abs(E)), E.shape)
         if E[i, j] == 0.0:
-            raise ValueError("residual vanished before reaching the requested rank")
+            raise ValueError(f"residual vanished before reaching the requested rank {r}")
         rows.append(int(i) + 1)
         cols.append(int(j) + 1)
         E = E - np.outer(E[:, j], E[i, :]) / E[i, j]
@@ -304,7 +303,7 @@ def ball_volume(n: int, p, exact: bool = False):
     ``2**n / n!`` for ``p=1`` and ``2**n`` for ``p=inf``.  With
     ``exact=True`` those two cases return a :class:`fractions.Fraction`.
     """
-    n = int(n)
+    n = _integers([n], "dimension")[0]
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if p == 1:

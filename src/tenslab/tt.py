@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _check_multi_index, as_tensor, check_dense_cap, norm
+from .dense import DenseTensor, _check_multi_index, _integers, _one_based, as_tensor, \
+    check_dense_cap, norm
 from .linalg import check_tolerance, svd as _svd
 from .cp import CPDecomposition
 
@@ -121,7 +122,7 @@ class TTQuality:
         return float(np.prod(self.step_qualities)) if self.step_qualities else 1.0
 
 
-def _check_targets(d: int, ranks, rel_tol) -> list:
+def _check_targets(d: int, ranks, rel_tol) -> Sequence:
     """Check ``tt_svd``/``tt_round`` targets; returns the per-step rank caps."""
     if ranks is not None and rel_tol is not None:
         raise ValueError("give target ranks or a tolerance, not both")
@@ -129,11 +130,11 @@ def _check_targets(d: int, ranks, rel_tol) -> list:
         check_tolerance(rel_tol)
     if ranks is None:
         return [None] * (d - 1)
-    ranks = [int(r) for r in ranks]
+    ranks = _integers(ranks, "ranks")
     if len(ranks) != d - 1:
         raise ValueError(f"need {d - 1} interior ranks, got {len(ranks)}")
     if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be >= 1")
+        raise ValueError(f"ranks {ranks} must be >= 1")
     return ranks
 
 
@@ -307,16 +308,14 @@ def tt_marginal(T: TTTensor, mode: int) -> DenseTensor:
     partial product)`` where the partial products chain the summed
     cores on each side.
     """
-    mu = int(mode)
-    if not 1 <= mu <= T.order:
-        raise ValueError(f"mode {mu} out of range for order {T.order}")
+    mu = _one_based([mode], T.order, "mode")[0]
     left = np.ones((1, 1))
-    for G in T.cores[:mu - 1]:
+    for G in T.cores[:mu]:
         left = left @ np.sum(G, axis=1)
     right = np.ones((1, 1))
-    for G in reversed(T.cores[mu:]):
+    for G in reversed(T.cores[mu + 1:]):
         right = np.sum(G, axis=1) @ right
-    return DenseTensor(np.einsum("a,aib,b->i", left[0], T.cores[mu - 1], right[:, 0]))
+    return DenseTensor(np.einsum("a,aib,b->i", left[0], T.cores[mu], right[:, 0]))
 
 
 def cp_to_tt(cp: CPDecomposition) -> TTTensor:
@@ -353,6 +352,7 @@ def tt_to_cp(T: TTTensor, max_terms: int = 100_000) -> CPDecomposition:
     detecting that robustly is numerically delicate, so this routine
     always takes the generic expansion.
     """
+    max_terms = _integers([max_terms], "max_terms")[0]
     d = T.order
     n_terms = math.prod(T.ranks)
     if n_terms > max_terms:
@@ -401,5 +401,7 @@ def additive_tt(values_per_mode: Sequence[Sequence[float]]) -> TTTensor:
 
 def zeros_tt(dims: Sequence[int]) -> TTTensor:
     """All-zero train with every rank equal to 1 (keeps ``tt_add`` total)."""
-    dims = [int(n) for n in dims]
+    dims = _integers(dims, "dims")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"invalid dims {dims}: need d >= 1 and every n >= 1")
     return TTTensor([np.zeros((1, n, 1)) for n in dims])

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, as_tensor, check_dense_cap, matricize, norm
+from .dense import DenseTensor, _integers, _one_based, as_tensor, check_dense_cap, \
+    matricize, norm
 from .linalg import check_tolerance, svd
 
 __all__ = [
@@ -45,8 +46,9 @@ class ALSOptions:
     init: str = "random"          # "random" | "hosvd"
 
     def __post_init__(self):
+        self.max_sweeps, self.seed = _integers((self.max_sweeps, self.seed), "max_sweeps, seed")
         if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         check_tolerance(self.rel_tol)
 
 
@@ -167,12 +169,10 @@ def hosvd(A, ranks: Sequence[int], rel_tol: float | None = None
     ``||A - M|| <= rel_tol * ||A||``.
     """
     A = as_tensor(A)
-    ranks = [int(r) for r in ranks]
+    # rank r_mu obeys the rule of a 1-based position on mode mu: 1..n_mu
+    ranks = [r + 1 for r in _one_based(ranks, A.dims, "ranks")]
     if len(ranks) != A.order:
         raise ValueError(f"need {A.order} ranks, got {len(ranks)}")
-    for r, n in zip(ranks, A.dims):
-        if not 1 <= r <= n:
-            raise ValueError(f"rank {r} out of range 1..{n}")
     if rel_tol is not None:
         check_tolerance(rel_tol)
     factors, spectra = [], []

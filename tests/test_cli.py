@@ -494,6 +494,18 @@ class TestTolerance:
         assert code == 2
         assert "--tol" in err
 
+    @pytest.mark.parametrize("method, rank_args, named", [
+        ("tt", [], "exactly one of --rank and --tol"),
+        ("cp", ["--rank", "2,3"], "cp takes one --rank value"),
+        ("cp", ["--tol", "0.1"], "cp takes one --rank value"),
+    ], ids=["no-rank-no-tol", "cp-two-ranks", "cp-tol"])
+    def test_usage_error_in_argv_is_reported_before_the_input_is_read(
+            self, capsys, tmp_path, method, rank_args, named):
+        code, _, err = run(capsys, "decompose", str(tmp_path / "missing.dten"),
+                           "--method", method, *rank_args, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert named in err
+
     @pytest.mark.parametrize("method", ["tt", "hosvd", "hooi"])
     def test_tol_run_reports_no_requested_rank(self, capsys, tmp_path, planted_tucker,
                                                method):

@@ -1,9 +1,12 @@
 """Every name a module of ``src/tenslab`` imports is used there or exported,
-and every private module-level name it defines is read somewhere in ``src``.
+every private module-level name it defines is read somewhere in ``src``, and
+no function converts an argument with ``int()`` outside ``dense._integers``.
 
 A static check with :mod:`ast`: an import that nothing in the module reads
 and that ``__all__`` does not list is dead.  ``__init__.py`` exists to
-re-export, so it is exempt from the import check.
+re-export, so it is exempt from the import check.  ``int()`` truncates a
+fractional value, so a caller's integers go through ``dense._integers``,
+which rejects one instead.
 """
 import ast
 from pathlib import Path
@@ -79,3 +82,45 @@ def test_the_check_sees_a_dead_private_name():
         "b.py": "from .a import _B\nclass _Unread:\n    pass\n",
     }
     assert dead_private_names(sources) == ["a.py:_dead", "b.py:_Unread"]
+
+
+def int_of_parameter(source: str, exempt: str | None = None) -> list[str]:
+    """``function:line`` of each ``int(x)`` whose ``x`` is a parameter of the
+    enclosing function, or the target of a comprehension that iterates
+    directly over one; the function named ``exempt`` is not scanned."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(func, "name", "<lambda>")
+        if name == exempt:
+            continue
+        args = func.args
+        suspects = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        nodes = list(ast.walk(func))
+        for node in nodes:
+            if (isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Name)
+                    and node.iter.id in suspects):
+                suspects |= {t.id for t in ast.walk(node.target) if isinstance(t, ast.Name)}
+        found += [f"{name}:{node.lineno}" for node in nodes
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int" and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id in suspects]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_int_of_a_parameter(path):
+    exempt = "_integers" if path.name == "dense.py" else None
+    assert int_of_parameter(path.read_text(), exempt) == []
+
+
+def test_the_check_sees_an_int_of_a_parameter():
+    source = ("def f(a, b, *, c):\n"
+              "    x = int(a) + int(len(b)) + int(c)\n"
+              "    ys = [int(v) for v in b] + [int(t) for t in b.split()]\n"
+              "    return lambda k: int(k) + int(x)\n"
+              "def _integers(values):\n"
+              "    return [int(v) for v in values]\n")
+    assert int_of_parameter(source, "_integers") == ["f:2", "f:2", "f:3", "<lambda>:4"]
+    assert int_of_parameter(source) == ["f:2", "f:2", "f:3", "_integers:6", "<lambda>:4"]
