@@ -27,6 +27,7 @@ from .linalg import (
     greedy_cur_pivots,
     khatri_rao,
     kronecker,
+    one_sided_svd,
     pseudo_inverse,
     svd,
     svd_to_tolerance,

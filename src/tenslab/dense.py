@@ -153,7 +153,13 @@ def dense_cap(override: int | None = None) -> int:
     """Densification guard: max entries a reconstruction may produce."""
     if override is not None:
         return _integers([override], "dense cap")[0]
-    return int(os.environ.get("TENSLAB_DENSE_CAP", DEFAULT_DENSE_CAP))
+    raw = os.environ.get("TENSLAB_DENSE_CAP")
+    if raw is None:
+        return DEFAULT_DENSE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"TENSLAB_DENSE_CAP must be an integer, got {raw!r}") from None
 
 
 def check_dense_cap(dims: Sequence[int], cap: int | None = None) -> None:

@@ -66,8 +66,8 @@ class Mesh:
         n = _integers([n], "mesh size")[0]
         if n < 1:
             raise ValueError(f"mesh size {n} must be >= 1")
-        ends = cls((lo,) if n == 1 else (lo, hi))   # checks the end points
-        return ends if n in (1, 2) else cls(np.linspace(lo, hi, n))
+        ends = cls((lo, hi))                        # checks the end points
+        return cls(ends.points[:n]) if n <= 2 else cls(np.linspace(lo, hi, n))
 
     def __len__(self) -> int:
         return len(self.points)

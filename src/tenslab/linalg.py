@@ -6,6 +6,10 @@ Every decomposition engine in this package reduces to the routines here.
 reduction over contiguous columns) and fixes the sign ambiguity in place
 (largest-magnitude entry of each left singular vector made nonnegative)
 so that goldens are reproducible; it copies no factor.
+TT-SVD, HOSVD and HOOI keep one side of each unfolding's SVD and get it
+from :func:`one_sided_svd`, which reduces a tall matrix to its small
+triangle by Householder QR first, so no engine forms the long factor it
+would drop; the sign convention lands on the factor the engine keeps.
 Every truncating engine calls :meth:`SVDResult.truncate_to`, the one place
 that applies :func:`truncation_rank`; tolerances pass :func:`check_tolerance`.
 :func:`cp_product` and the CP-ALS update share one Khatri-Rao chain,
@@ -27,6 +31,7 @@ __all__ = [
     "SVDResult",
     "RANK_CUTOFF",
     "svd",
+    "one_sided_svd",
     "truncated_svd",
     "svd_to_tolerance",
     "check_tolerance",
@@ -114,6 +119,25 @@ def svd(M) -> SVDResult:
     U *= flip
     V *= flip
     return SVDResult(U, s, V)
+
+
+def one_sided_svd(L) -> SVDResult:
+    """SVD of ``L.T`` that never forms ``L``'s left factor.
+
+    ``U`` holds ``L``'s right singular vectors, under the sign convention
+    of :func:`svd`, and ``singular_values`` are ``L``'s.  A tall ``L`` is
+    first reduced to its ``k x k`` triangle ``R`` by Householder QR with no
+    ``Q`` formed (Chan, ACM TOMS 1982), and ``svd(R.T)`` is returned; its
+    ``V`` is ``Q.T`` times ``L``'s left singular vectors.  Otherwise this
+    is ``svd(L.T)``, whose ``V`` is ``L``'s left factor.  Both routes are
+    backward stable: the singular values carry gesdd's ``O(eps * s_1)``
+    absolute error.
+    """
+    # an ndarray of any layout reaches QR uncopied, a transposed view too
+    L = L if isinstance(L, np.ndarray) and L.ndim == 2 else _as_matrix(L)
+    if L.shape[0] > L.shape[1]:
+        return svd(np.linalg.qr(L, mode="r").T)
+    return svd(L.T)
 
 
 def truncated_svd(M, r: int) -> SVDResult:
@@ -267,6 +291,8 @@ def cur(A, rows: Sequence[int], cols: Sequence[int],
     J = list(_one_based(cols, A.shape[1], "cols"))
     if len(I) != len(J):
         raise ValueError("need equally many rows and columns")
+    if not I:
+        raise ValueError("rows and cols are empty index sets; CUR needs rank >= 1")
     Ahat = A[np.ix_(I, J)]
     s = np.linalg.svd(Ahat, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= rank_cutoff * s[0]:
@@ -284,6 +310,9 @@ def greedy_cur_pivots(A, r: int) -> tuple[list[int], list[int]]:
     optimality guarantee.
     """
     r = _integers([r], "rank")[0]
+    if r < 1:
+        raise ValueError(f"rank {r} gives empty row and column index sets; "
+                         f"CUR needs rank >= 1")
     E = _as_matrix(A).copy()
     rows, cols = [], []
     for _ in range(r):

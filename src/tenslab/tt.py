@@ -23,7 +23,7 @@ import numpy as np
 
 from .dense import DenseTensor, _check_multi_index, _integers, _one_based, as_tensor, \
     check_dense_cap, norm
-from .linalg import check_tolerance, svd as _svd
+from .linalg import check_tolerance, one_sided_svd, svd as _svd
 from .cp import CPDecomposition
 
 __all__ = [
@@ -142,9 +142,11 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
            rel_tol: float | None = None) -> tuple[TTTensor, TTQuality]:
     """Build a TT decomposition or approximation of a dense tensor.
 
-    Walks the modes left to right: unfold the carried matrix with the
-    next mode folded into the rows, SVD, keep ``U`` as the next core and
-    carry ``S @ V.T`` forward.  Exactly one of
+    Walks the modes left to right: unfold the carried matrix ``W`` with
+    the next mode folded into the rows, take its left singular vectors
+    ``U`` from :func:`tenslab.linalg.one_sided_svd` of ``W.T`` (no right
+    factor is formed), keep ``U`` as the next core and carry ``U.T @ W``
+    forward.  Exactly one of
 
     * ``ranks``: hard per-step ranks ``(r_1, ..., r_{d-1})``,
     * ``rel_tol``: one relative tolerance; each SVD keeps an l2 tail of
@@ -174,11 +176,11 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
     for mu in range(d - 1):
         n_mu = dims[mu]
         W = W.reshape(r_prev * n_mu, -1)
-        res = _svd(W)
+        res = one_sided_svd(W.T)
         energy_before = float(np.sum(res.singular_values ** 2))
         kept = res.truncate_to(ranks[mu], budget)
         cores.append(kept.U.reshape(r_prev, n_mu, kept.rank))
-        W = (kept.singular_values[:, None] * kept.V.T)
+        W = kept.U.T @ W
         qualities.append(1.0 if energy_before == 0.0 else
                          float(np.sum(kept.singular_values ** 2)) / energy_before)
         tails.append(res.tail_energy(kept.rank))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dense import DenseTensor, _integers, _one_based, as_tensor, check_dense_cap, \
     matricize, norm
-from .linalg import check_tolerance, svd
+from .linalg import check_tolerance, one_sided_svd
 
 __all__ = [
     "ALSOptions",
@@ -157,11 +157,12 @@ def hosvd(A, ranks: Sequence[int], rel_tol: float | None = None
     """Higher-order SVD at the requested per-mode ranks.
 
     For each mode the tensor is unfolded with that mode as columns and
-    the leading right singular vectors become the mode's orthonormal
-    basis; the core is the tensor expressed in these bases.  In the new
-    basis the mode-``mu`` slices are pairwise orthogonal with norms
-    equal to that unfolding's singular values.  Returns the
-    decomposition and the per-mode singular value arrays.
+    the leading right singular vectors, from
+    :func:`tenslab.linalg.one_sided_svd` (no left factor formed), become
+    the mode's orthonormal basis; the core is the tensor expressed in
+    these bases.  In the new basis the mode-``mu`` slices are pairwise
+    orthogonal with norms equal to that unfolding's singular values.
+    Returns the decomposition and the per-mode singular value arrays.
 
     With ``rel_tol`` the ``ranks`` are caps and each mode keeps a squared
     tail of at most ``(rel_tol / sqrt(d))**2`` of its unfolding's energy;
@@ -177,12 +178,12 @@ def hosvd(A, ranks: Sequence[int], rel_tol: float | None = None
         check_tolerance(rel_tol)
     factors, spectra = [], []
     for mu, cap in enumerate(ranks, start=1):
-        res = svd(matricize(A, mu).data)
+        res = one_sided_svd(matricize(A, mu).data)
         s = res.singular_values
         budget = None if rel_tol is None else \
             (rel_tol / math.sqrt(A.order)) ** 2 * float(np.sum(s ** 2))
         spectra.append(s.copy())
-        factors.append(res.truncate_to(cap, budget).V.copy())
+        factors.append(res.truncate_to(cap, budget).U)
     core = multilinear_apply(A, [U.T for U in factors])
     return TuckerDecomposition(core, factors), spectra
 
@@ -222,8 +223,8 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None,
         for mu0 in range(d):
             reducers = [factors[nu].T if nu != mu0 else None for nu in range(d)]
             Y = multilinear_apply(A, reducers)
-            kept = svd(matricize(Y, mu0 + 1).data).truncate_to(ranks[mu0])
-            factors[mu0] = kept.V.copy()
+            kept = one_sided_svd(matricize(Y, mu0 + 1).data).truncate_to(ranks[mu0])
+            factors[mu0] = kept.U
             core_sq = float(np.sum(kept.singular_values ** 2))
             trace.per_block.append(_guarded(norm_sq - core_sq, norm_sq, dense_error))
         if trace.end_sweep(opts.rel_tol, norm_sq):

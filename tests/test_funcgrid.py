@@ -40,6 +40,15 @@ class TestMeshAndGrid:
         with pytest.raises(ValueError, match=f"mesh point {bad!r} is not finite"):
             Mesh.uniform(0.0, bad, 5)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("hi, message", [(math.nan, "mesh point nan is not finite"),
+                                             (0.0, "strictly increasing"),
+                                             (-1.0, "strictly increasing")])
+    def test_uniform_checks_hi_for_every_size(self, n, hi, message):
+        with pytest.raises(ValueError, match=message):
+            Mesh.uniform(0.0, hi, n)
+        assert Mesh.uniform(0.0, 1.0, n).points[0] == 0.0
+
     def test_grid_point_one_based(self):
         grid = CartesianGrid([Mesh([0.0, 1.0]), Mesh([5.0, 6.0, 7.0])])
         assert grid.shape == (2, 3)

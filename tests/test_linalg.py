@@ -11,14 +11,48 @@ from tenslab import (
     cp_product,
     cur,
     greedy_cur_pivots,
+    hosvd,
     khatri_rao,
     kronecker,
+    matricize,
+    one_sided_svd,
     pseudo_inverse,
     svd,
     svd_to_tolerance,
     tracy_singh,
     truncated_svd,
 )
+
+EPS = np.finfo(np.float64).eps
+
+
+def check_one_sided(L, res):
+    """``res`` holds ``L``'s singular values within ``64 eps s_1`` of LAPACK's
+    and its right singular vectors: orthonormal, each leading subspace within
+    ``64 eps s_1 / gap`` of LAPACK's, with the sign rule on every column."""
+    k = min(L.shape)
+    s, U = res.singular_values, res.U
+    assert s.shape == (k,) and U.shape == (L.shape[1], k)
+    _, s_ref, Vt = np.linalg.svd(L, full_matrices=False)
+    tol = 64 * EPS * s_ref[0]
+    np.testing.assert_allclose(s, s_ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(U.T @ U, np.eye(k), rtol=0, atol=64 * EPS * k)
+    for r in range(1, k):
+        gap = s_ref[r - 1] - s_ref[r]
+        if gap > 0:
+            V = Vt[:r].T
+            sin = np.linalg.norm(U[:, :r] - V @ (V.T @ U[:, :r]), 2)
+            assert sin <= tol / gap + 64 * EPS, (r, sin, tol / gap)
+    for a in range(k):
+        assert U[np.argmax(np.abs(U[:, a])), a] >= 0
+
+
+def graded(rng, m, n, cond):
+    """``m x n`` matrix with singular values spaced log-evenly from 1 to ``1/cond``."""
+    k = min(m, n)
+    P = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    Q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (P * np.logspace(0, -np.log10(cond), k)) @ Q.T
 
 
 class TestSVD:
@@ -123,6 +157,59 @@ class TestSVD:
             np.testing.assert_array_equal(cut.singular_values, s[:r])
             np.testing.assert_array_equal(cut.V, V[:, :r])
             assert np.shares_memory(cut.U, U) and np.shares_memory(cut.V, V)
+
+
+class TestOneSidedSVD:
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(1, 12), rank=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 16))
+    @example(m=12, n=3, rank=3, seed=0)       # tall: the QR route
+    @example(m=3, n=12, rank=3, seed=0)       # wide
+    @example(m=5, n=5, rank=5, seed=0)        # square
+    @example(m=9, n=6, rank=2, seed=1)        # rank-deficient
+    @example(m=7, n=4, rank=0, seed=2)        # all zero
+    def test_matches_lapack(self, m, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, m, n)
+        L = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        res = one_sided_svd(L)
+        check_one_sided(L, res)
+        if rank:
+            # the rank-``rank`` range of L^T that the two-sided svd returns as V
+            V = svd(L).V[:, :rank]
+            np.testing.assert_allclose(res.U[:, :rank] @ (res.U[:, :rank].T @ V), V,
+                                       rtol=0, atol=1e-10)
+
+    def test_all_zero_is_exact(self):
+        res = one_sided_svd(np.zeros((6, 3)))
+        np.testing.assert_array_equal(res.singular_values, np.zeros(3))
+        check_one_sided(np.zeros((6, 3)), res)
+
+    def test_layout_leaves_result_unchanged(self, rng):
+        W = rng.standard_normal((4, 50))
+        np.testing.assert_array_equal(one_sided_svd(W.T).singular_values,
+                                      one_sided_svd(W.T.copy()).singular_values)
+
+    def test_hosvd_unfolding_wider_than_tall(self, rng):
+        # shape (5, 2, 2): the mode-1 unfolding is 4 x 5, n_mu > prod(others)
+        A = rng.standard_normal((5, 2, 2))
+        M = matricize(A, 1).data
+        assert M.shape == (4, 5)
+        res = one_sided_svd(M)
+        check_one_sided(M, res)
+        tuck, spectra = hosvd(A, (5, 2, 2))
+        assert tuck.factors[0].shape == (5, 4)
+        np.testing.assert_array_equal(tuck.factors[0], res.U)
+        np.testing.assert_array_equal(spectra[0], res.singular_values)
+
+    @pytest.mark.parametrize("shape", [(262144, 8), (32768, 64), (4096, 64)],
+                             ids=["tt-step-1", "tt-step-2", "hosvd"])
+    @pytest.mark.parametrize("cond", [1e4, 1e8, 1e12])
+    def test_graded_at_benchmark_shapes(self, rng, shape, cond):
+        # TT-SVD hands over the transposes of its 8 x 262144 and 64 x 32768
+        # unfoldings; HOSVD its 4096 x 64 unfolding
+        L = graded(rng, *shape, cond)
+        check_one_sided(L, one_sided_svd(L))
 
 
 class TestTruncation:
@@ -345,6 +432,15 @@ class TestCUR:
         A = np.ones((3, 3))
         with pytest.raises(ValueError):
             cur(A, [1, 2], [1, 2])
+
+    def test_empty_index_sets_rejected(self, rng):
+        A = rng.standard_normal((3, 4))
+        with pytest.raises(ValueError, match="empty index sets; CUR needs rank >= 1"):
+            cur(A, [], [])
+        for r in (0, -1):
+            with pytest.raises(ValueError, match=f"rank {r} gives empty row and column "
+                                                 f"index sets; CUR needs rank >= 1"):
+                greedy_cur_pivots(A, r)
 
 
 class TestBallVolume:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ def random_tt(rng, dims, ranks):
     cores = [rng.standard_normal((chain[mu], n, chain[mu + 1]))
              for mu, n in enumerate(dims)]
     return TTTensor(cores)
+
+
+def svd_cascade(A, r):
+    """Densified rank-``r`` TT-SVD of ``A`` built from two-sided ``np.linalg.svd``
+    steps that carry ``diag(s) V^T``."""
+    dims = A.shape
+    basis, W = np.ones((1, 1)), A.reshape(1, -1)    # basis: the cores so far, densified
+    for n in dims[:-1]:
+        W = W.reshape(W.shape[0] * n, -1)
+        U, s, Vt = np.linalg.svd(W, full_matrices=False)
+        k = min(r, len(s))
+        core = U[:, :k].reshape(basis.shape[1], n, k)
+        basis = np.einsum("ia,ajk->ijk", basis, core).reshape(-1, k)
+        W = s[:k, None] * Vt[:k]
+    return (basis @ W).reshape(dims)
 
 
 def probe_indices(rng, dims, count):
@@ -74,8 +90,9 @@ class TestTTSVD:
             quality.kept_energy + sum(quality.step_tail_energies), rel=1e-9)
 
     @pytest.mark.parametrize("target", [{"ranks": (3, 5, 7, 5, 3)}, {"rel_tol": 0.3}])
-    def test_lapack_sees_only_tall_unfoldings(self, rng, monkeypatch, target):
-        # the wide unfoldings of TT-SVD reach LAPACK as their tall transposes
+    def test_lapack_never_sees_the_long_side(self, rng, monkeypatch, target):
+        # a p x q unfolding reaches LAPACK's SVD as p x min(p, q): a wide one
+        # as its triangle, so the long factor it would drop is never formed
         shapes = []
         lapack_svd = np.linalg.svd
 
@@ -84,9 +101,31 @@ class TestTTSVD:
             return lapack_svd(a, *args, **kwargs)
 
         monkeypatch.setattr("tenslab.linalg.np.linalg.svd", spy)
-        tt_svd(rng.standard_normal((4,) * 6), **target)
-        assert len(shapes) == 5
-        assert all(rows >= cols for rows, cols in shapes), shapes
+        T, _ = tt_svd(rng.standard_normal((4,) * 6), **target)
+        rows = [r * n for r, n in zip(T.full_ranks, T.dims[:-1])]
+        cols = [4 ** (6 - mu) for mu in range(1, 6)]
+        assert shapes == [(p, min(p, q)) for p, q in zip(rows, cols)]
+
+    def test_planted_rank_eight_matches_the_two_sided_cascade(self, rng):
+        dims = (8,) * 7
+        A = tt_reconstruct(random_tt(rng, dims, (8,) * 6)).data
+        noise = rng.standard_normal(dims)
+        A += 1e-3 * np.linalg.norm(A) / np.linalg.norm(noise) * noise
+        T, _ = tt_svd(A, ranks=(8,) * 6)
+        ref = svd_cascade(A, 8)
+        assert np.linalg.norm(tt_reconstruct(T).data - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_peak_memory_stays_near_the_input(self, rng):
+        # at ranks 8 the second step's carry is as large as the input, and
+        # the QR of its transpose takes one copy of it; nothing else is large
+        A = rng.standard_normal((8,) * 7)
+        tracemalloc.start()
+        try:
+            tt_svd(A, ranks=(8,) * 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * A.nbytes
 
     def test_tolerance_mode_bounds_error(self, rng):
         A = DenseTensor(rng.standard_normal((4, 4, 4)))
