@@ -23,8 +23,7 @@ import numpy as np
 
 from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
 from .linalg import RANK_CUTOFF, _khatri_rao_others, cp_product
-from . import tucker as _tucker
-from .tucker import ALSOptions, ALSTrace, _guarded
+from .tucker import ALSOptions, ALSTrace, _guarded, hosvd
 
 __all__ = [
     "CPDecomposition",
@@ -121,7 +120,7 @@ def _init_factors(A: DenseTensor, r: int, opts: ALSOptions) -> list[np.ndarray]:
         return mats
     if opts.init == "hosvd":
         ranks = [min(r, n) for n in A.dims]
-        tuck, _ = _tucker.hosvd(A, ranks)
+        tuck, _ = hosvd(A, ranks)
         mats = []
         for n, U in zip(A.dims, tuck.factors):
             if U.shape[1] < r:

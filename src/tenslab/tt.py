@@ -6,12 +6,14 @@ product of the per-mode core slices.  This keeps storage linear in the
 order and makes sums over indices (partition function, marginals) chains
 of small matrix products, densifying nothing.
 
-``tt_svd`` decomposes or approximates a dense tensor by a sweep of
-truncated SVDs; ``tt_add`` / ``tt_hadamard`` combine trains without
-leaving the format; ``tt_round`` recompresses a train whose ranks grew.
-A tolerance gives each of their ``d-1`` SVDs the tail budget
-``rel_tol * ||A|| / sqrt(d-1)`` (Oseledets, SISC 2011), spent by
-:meth:`tenslab.linalg.SVDResult.truncate_to`, the one truncation call.
+``tt_svd`` (of a dense tensor) and ``tt_round`` (of a train whose ranks
+grew) share one left-to-right step: keep the left singular vectors ``U``
+of the unfolding ``M``, from ``one_sided_svd(M.T)`` truncated by
+``SVDResult.truncate_to``, as the core and carry ``U.T @ M``.  A tolerance
+gives each of the ``d-1`` steps the tail budget ``rel_tol * ||A|| /
+sqrt(d-1)`` (Oseledets, SISC 2011).  ``tt_add``, ``cp_to_tt`` and
+``additive_tt`` build every core by their interior rule and then close
+the boundary ranks to 1, so no order is a special case.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .dense import DenseTensor, _check_multi_index, _integers, _one_based, as_tensor, \
     check_dense_cap, norm
-from .linalg import check_tolerance, one_sided_svd, svd as _svd
+from .linalg import check_tolerance, one_sided_svd
 from .cp import CPDecomposition
 
 __all__ = [
@@ -85,16 +87,7 @@ class TTTensor:
     @property
     def full_ranks(self) -> tuple[int, ...]:
         """All chain ranks including the boundary 1s."""
-        return (1,) + self.ranks + (1,) if self.order > 1 else (1, 1)
-
-    def entry(self, index: Sequence[int]) -> float:
-        return tt_entry(self, index)
-
-    def to_dense(self, cap: int | None = None) -> DenseTensor:
-        return tt_reconstruct(self, cap)
-
-    def __add__(self, other):
-        return tt_add(self, other)
+        return (1,) + self.ranks + (1,)
 
     def __repr__(self):
         shape = "x".join(str(n) for n in self.dims)
@@ -119,7 +112,7 @@ class TTQuality:
 
     @property
     def global_quality(self) -> float:
-        return float(np.prod(self.step_qualities)) if self.step_qualities else 1.0
+        return float(np.prod(self.step_qualities))
 
 
 def _check_targets(d: int, ranks, rel_tol) -> Sequence:
@@ -138,15 +131,28 @@ def _check_targets(d: int, ranks, rel_tol) -> Sequence:
     return ranks
 
 
+def _budget(rel_tol: float | None, norm_a: float, d: int) -> float | None:
+    """Squared tail each of the ``d-1`` steps may drop for ``rel_tol``."""
+    return None if rel_tol is None else (rel_tol * norm_a / math.sqrt(max(d - 1, 1))) ** 2
+
+
+def _step(M: np.ndarray, cap: int | None, budget: float | None):
+    """Left-to-right truncation step of ``tt_svd`` and ``tt_round``.
+
+    Returns the full one-sided SVD of the unfolding ``M``, the kept left
+    singular vectors ``U`` (the next core) and the carry ``U.T @ M``.
+    """
+    res = one_sided_svd(M.T)
+    U = res.truncate_to(cap, budget).U
+    return res, U, U.T @ M
+
+
 def tt_svd(A, ranks: Sequence[int] | None = None,
            rel_tol: float | None = None) -> tuple[TTTensor, TTQuality]:
     """Build a TT decomposition or approximation of a dense tensor.
 
-    Walks the modes left to right: unfold the carried matrix ``W`` with
-    the next mode folded into the rows, take its left singular vectors
-    ``U`` from :func:`tenslab.linalg.one_sided_svd` of ``W.T`` (no right
-    factor is formed), keep ``U`` as the next core and carry ``U.T @ W``
-    forward.  Exactly one of
+    Walks the modes left to right, folding the next mode into the rows of
+    the carry and taking the shared truncation step.  Exactly one of
 
     * ``ranks``: hard per-step ranks ``(r_1, ..., r_{d-1})``,
     * ``rel_tol``: one relative tolerance; each SVD keeps an l2 tail of
@@ -157,45 +163,30 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
     train and the per-step quality accounting.
     """
     A = as_tensor(A)
-    d = A.order
-    dims = A.dims
-    ranks = _check_targets(d, ranks, rel_tol)
+    ranks = _check_targets(A.order, ranks, rel_tol)
     norm_a = norm(A)
-    budget = None if rel_tol is None else (rel_tol * norm_a / math.sqrt(max(d - 1, 1))) ** 2
+    budget = _budget(rel_tol, norm_a, A.order)
 
-    if d == 1:
-        core = A.data.reshape(1, dims[0], 1)
-        quality = TTQuality([], [], norm_a ** 2, norm_a ** 2)
-        return TTTensor([core]), quality
-
-    cores: list[np.ndarray] = []
-    qualities: list[float] = []
-    tails: list[float] = []
-    W = A.data.reshape(dims[0], -1)
-    r_prev = 1
-    for mu in range(d - 1):
-        n_mu = dims[mu]
-        W = W.reshape(r_prev * n_mu, -1)
-        res = one_sided_svd(W.T)
+    cores, qualities, tails = [], [], []
+    W = A.data.reshape(1, -1)
+    for n_mu, cap in zip(A.dims, ranks):
+        r_prev = W.shape[0]
+        res, U, W = _step(W.reshape(r_prev * n_mu, -1), cap, budget)
+        k = U.shape[1]
+        cores.append(U.reshape(r_prev, n_mu, k))
         energy_before = float(np.sum(res.singular_values ** 2))
-        kept = res.truncate_to(ranks[mu], budget)
-        cores.append(kept.U.reshape(r_prev, n_mu, kept.rank))
-        W = kept.U.T @ W
         qualities.append(1.0 if energy_before == 0.0 else
-                         float(np.sum(kept.singular_values ** 2)) / energy_before)
-        tails.append(res.tail_energy(kept.rank))
-        r_prev = kept.rank
-    cores.append(W.reshape(r_prev, dims[-1], 1))
-    kept_energy = float(np.sum(W ** 2))
-    quality = TTQuality(qualities, tails, norm_a ** 2, kept_energy)
+                         float(np.sum(res.singular_values[:k] ** 2)) / energy_before)
+        tails.append(res.tail_energy(k))
+    cores.append(W.reshape(-1, A.dims[-1], 1))
+    quality = TTQuality(qualities, tails, norm_a ** 2, float(np.sum(W ** 2)))
     return TTTensor(cores), quality
 
 
 def tt_entry(T: TTTensor, index: Sequence[int]) -> float:
     """Entry at a 1-based multi-index: the chain product of core slices."""
-    idx = _check_multi_index(index, T.dims)
-    row = T.cores[0][:, idx[0], :]
-    for G, i in zip(T.cores[1:], idx[1:]):
+    row = np.ones((1, 1))
+    for G, i in zip(T.cores, _check_multi_index(index, T.dims)):
         row = row @ G[:, i, :]
     return float(row[0, 0])
 
@@ -203,11 +194,10 @@ def tt_entry(T: TTTensor, index: Sequence[int]) -> float:
 def tt_reconstruct(T: TTTensor, cap: int | None = None) -> DenseTensor:
     """Densify the train by the reverse cascade of its construction."""
     check_dense_cap(T.dims, cap)
-    out = T.cores[0].reshape(T.dims[0], -1)          # (n_1, r_1)
-    for G in T.cores[1:]:
+    out = np.ones((1, 1))                            # (n_1 ... n_mu, r_mu)
+    for G in T.cores:
         r_prev, n, r = G.shape
-        out = out @ G.reshape(r_prev, n * r)
-        out = out.reshape(-1, r)
+        out = (out @ G.reshape(r_prev, n * r)).reshape(-1, r)
     return DenseTensor(out.reshape(T.dims))
 
 
@@ -216,29 +206,30 @@ def _check_same_dims(T: TTTensor, S: TTTensor) -> None:
         raise ValueError(f"dims differ: {T.dims} vs {S.dims}")
 
 
+def _close(cores: list[np.ndarray]) -> list[np.ndarray]:
+    """Close the boundary ranks of cores built by an interior rule: sum the
+    first core over its left rank and the last core over its right rank."""
+    cores[0] = np.sum(cores[0], axis=0, keepdims=True)
+    cores[-1] = np.sum(cores[-1], axis=2, keepdims=True)
+    return cores
+
+
 def tt_add(T: TTTensor, S: TTTensor) -> TTTensor:
     """Sum of two trains without densifying: ranks add.
 
-    Boundary cores concatenate along the free rank; interior core
-    slices stack block-diagonally.
+    Core slices stack block-diagonally; closing the boundary ranks turns
+    the first and last cores into concatenations along the free rank.
     """
     _check_same_dims(T, S)
-    if T.order == 1:
-        return TTTensor([T.cores[0] + S.cores[0]])
     cores = []
-    for mu, (G, H) in enumerate(zip(T.cores, S.cores)):
+    for G, H in zip(T.cores, S.cores):
         rl1, n, rr1 = G.shape
         rl2, _, rr2 = H.shape
-        if mu == 0:
-            C = np.concatenate([G, H], axis=2)
-        elif mu == T.order - 1:
-            C = np.concatenate([G, H], axis=0)
-        else:
-            C = np.zeros((rl1 + rl2, n, rr1 + rr2))
-            C[:rl1, :, :rr1] = G
-            C[rl1:, :, rr1:] = H
+        C = np.zeros((rl1 + rl2, n, rr1 + rr2))
+        C[:rl1, :, :rr1] = G
+        C[rl1:, :, rr1:] = H
         cores.append(C)
-    return TTTensor(cores)
+    return TTTensor(_close(cores))
 
 
 def tt_hadamard(T: TTTensor, S: TTTensor) -> TTTensor:
@@ -262,43 +253,37 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
     """Recompress a train to lower ranks without densifying.
 
     Two sweeps: right-to-left orthogonalization (LQ on the unfolded
-    cores), then a left-to-right truncated-SVD sweep to the targets.
-    Rounding a train back to (at least) its true ranks preserves the
-    entries up to roundoff.
+    cores), then the left-to-right truncation step of ``tt_svd`` on each
+    core, its carry multiplied into the next core.  Rounding a train back
+    to (at least) its true ranks preserves the entries up to roundoff.
     """
     d = T.order
     ranks = _check_targets(d, ranks, rel_tol)
-    if d == 1:
-        return TTTensor([G.copy() for G in T.cores])
-
     cores = [G.copy() for G in T.cores]
     # right-to-left: make every core but the first row-orthogonal
     for mu in range(d - 1, 0, -1):
         r_prev, n, r = cores[mu].shape
-        M = cores[mu].reshape(r_prev, n * r)
-        Q, R = np.linalg.qr(M.T)              # M = R.T @ Q.T, Q.T has orthonormal rows
-        rho = Q.shape[1]
-        cores[mu] = Q.T.reshape(rho, n, r)
+        # the unfolding is R.T @ Q.T, and Q.T has orthonormal rows
+        Q, R = np.linalg.qr(cores[mu].reshape(r_prev, n * r).T)
+        cores[mu] = Q.T.reshape(-1, n, r)
         cores[mu - 1] = np.tensordot(cores[mu - 1], R.T, axes=(2, 0))
 
-    norm_t = float(np.linalg.norm(cores[0]))  # all later cores are orthogonal now
-    budget = None if rel_tol is None else (rel_tol * norm_t / math.sqrt(d - 1)) ** 2
+    # all later cores are orthogonal now, so the first holds the norm
+    budget = _budget(rel_tol, float(np.linalg.norm(cores[0])), d)
 
     # left-to-right: truncate
     for mu in range(d - 1):
         r_prev, n, r = cores[mu].shape
-        M = cores[mu].reshape(r_prev * n, r)
-        kept = _svd(M).truncate_to(ranks[mu], budget)
-        cores[mu] = kept.U.reshape(r_prev, n, kept.rank)
-        carry = kept.singular_values[:, None] * kept.V.T
+        _, U, carry = _step(cores[mu].reshape(r_prev * n, r), ranks[mu], budget)
+        cores[mu] = U.reshape(r_prev, n, -1)
         cores[mu + 1] = np.tensordot(carry, cores[mu + 1], axes=(1, 0))
     return TTTensor(cores)
 
 
 def tt_partition(T: TTTensor) -> float:
     """Sum of all entries as a chain of summed-core matrix products."""
-    row = np.sum(T.cores[0], axis=1)
-    for G in T.cores[1:]:
+    row = np.ones((1, 1))
+    for G in T.cores:
         row = row @ np.sum(G, axis=1)
     return float(row[0, 0])
 
@@ -323,22 +308,17 @@ def tt_marginal(T: TTTensor, mode: int) -> DenseTensor:
 def cp_to_tt(cp: CPDecomposition) -> TTTensor:
     """Exact TT representation of a CP model with all chain ranks ``r``.
 
-    Interior core slices are diagonal in the term index; the first core
-    carries the weights.
+    Every core slice is diagonal in the term index and the first core
+    carries the weights; closing the boundary ranks leaves the first core
+    the weighted factor and the last the transposed factor.
     """
-    d = cp.order
-    r = cp.rank
-    if d == 1:
-        vec = cp.factors[0] @ cp.weights
-        return TTTensor([vec.reshape(1, -1, 1)])
-    cores = [(cp.factors[0] * cp.weights)[None, :, :]]    # (1, n_1, r)
-    terms = np.arange(r)
-    for mu in range(1, d - 1):
-        C = np.zeros((r, cp.dims[mu], r))
-        C[terms, :, terms] = cp.factors[mu].T
+    terms = np.arange(cp.rank)
+    cores = []
+    for X in [cp.factors[0] * cp.weights, *cp.factors[1:]]:
+        C = np.zeros((cp.rank, X.shape[0], cp.rank))
+        C[terms, :, terms] = X.T
         cores.append(C)
-    cores.append(cp.factors[d - 1].T.reshape(r, cp.dims[d - 1], 1))
-    return TTTensor(cores)
+    return TTTensor(_close(cores))
 
 
 def tt_to_cp(T: TTTensor, max_terms: int = 100_000) -> CPDecomposition:
@@ -355,16 +335,13 @@ def tt_to_cp(T: TTTensor, max_terms: int = 100_000) -> CPDecomposition:
     always takes the generic expansion.
     """
     max_terms = _integers([max_terms], "max_terms")[0]
-    d = T.order
     n_terms = math.prod(T.ranks)
     if n_terms > max_terms:
         raise ValueError(
             f"expansion would produce {n_terms} terms (cap {max_terms})")
-    # column t of bonds: term t's index on every bond (0 on both ends), the
-    # interior ones in np.ndindex order; core mu spans bonds mu and mu + 1
-    idx = np.indices(T.ranks).reshape(d - 1, n_terms)
-    edge = np.zeros((1, n_terms), dtype=idx.dtype)
-    bonds = np.concatenate([edge, idx, edge])
+    # column t of bonds: term t's index on every bond (0 on both ends), in
+    # np.ndindex order of the interior ones; core mu spans bonds mu and mu + 1
+    bonds = np.indices(T.full_ranks).reshape(-1, n_terms)
     factors = [G[bonds[mu], :, bonds[mu + 1]].T for mu, G in enumerate(T.cores)]
     keep = np.logical_and.reduce([np.any(X != 0.0, axis=0) for X in factors])
     if not keep.any():
@@ -376,28 +353,22 @@ def tt_to_cp(T: TTTensor, max_terms: int = 100_000) -> CPDecomposition:
 def additive_tt(values_per_mode: Sequence[Sequence[float]]) -> TTTensor:
     """Rank-2 train of the additive tensor ``A[i] = sum_mu f_mu(i_mu)``.
 
-    The boundary rows are ``(f_1(i), 1)`` and ``(1, f_d(i))^T``; interior
-    slices are the unipotent matrices ``[[1, 0], [f_mu(i), 1]]``.
+    Every core slice is the unipotent matrix ``[[1, 0], [f_mu(i), 1]]``;
+    the first core keeps its second row ``(f_1(i), 1)`` and the last its
+    first column ``(1, f_d(i))^T``.
     """
     fs = [np.asarray(f, dtype=np.float64).reshape(-1) for f in values_per_mode]
-    d = len(fs)
-    if d < 2:
+    if len(fs) < 2:
         raise ValueError("the additive construction needs at least two modes")
     cores = []
-    first = np.zeros((1, len(fs[0]), 2))
-    first[0, :, 0] = fs[0]
-    first[0, :, 1] = 1.0
-    cores.append(first)
-    for f in fs[1:-1]:
+    for f in fs:
         C = np.zeros((2, len(f), 2))
         C[0, :, 0] = 1.0
         C[1, :, 0] = f
         C[1, :, 1] = 1.0
         cores.append(C)
-    last = np.zeros((2, len(fs[-1]), 1))
-    last[0, :, 0] = 1.0
-    last[1, :, 0] = fs[-1]
-    cores.append(last)
+    cores[0] = cores[0][1:]
+    cores[-1] = cores[-1][:, :, :1]
     return TTTensor(cores)
 
 

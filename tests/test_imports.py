@@ -1,12 +1,15 @@
 """Every name a module of ``src/tenslab`` imports is used there or exported,
-every private module-level name it defines is read somewhere in ``src``, and
-no function converts an argument with ``int()`` outside ``dense._integers``.
+every private module-level name it defines is read somewhere in ``src``, no
+function converts an argument with ``int()`` outside ``dense._integers``, and
+no module but ``linalg.py`` reads the right factor ``V`` of an SVD.
 
 A static check with :mod:`ast`: an import that nothing in the module reads
 and that ``__all__`` does not list is dead.  ``__init__.py`` exists to
 re-export, so it is exempt from the import check.  ``int()`` truncates a
 fractional value, so a caller's integers go through ``dense._integers``,
-which rejects one instead.
+which rejects one instead.  Every engine keeps one side of each SVD, the
+``U`` of :func:`tenslab.linalg.one_sided_svd`, so an ``.V`` read outside
+``linalg.py`` is a two-sided SVD coming back.
 """
 import ast
 from pathlib import Path
@@ -124,3 +127,22 @@ def test_the_check_sees_an_int_of_a_parameter():
               "    return [int(v) for v in values]\n")
     assert int_of_parameter(source, "_integers") == ["f:2", "f:2", "f:3", "<lambda>:4"]
     assert int_of_parameter(source) == ["f:2", "f:2", "f:3", "_integers:6", "<lambda>:4"]
+
+
+def right_factor_reads(source: str) -> list[int]:
+    """Line of each read of an attribute named ``V``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "V"
+            and isinstance(node.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_reads_the_right_factor(path):
+    assert right_factor_reads(path.read_text()) == []
+
+
+def test_the_check_sees_a_right_factor_read():
+    source = ("res = svd(M)\nres.V = None\n"
+              "carry = res.singular_values[:, None] * res.V.T\nU = res.U\n")
+    assert right_factor_reads(source) == [3]

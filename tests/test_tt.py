@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tenslab import (
     CPDecomposition,
@@ -55,6 +56,53 @@ def svd_cascade(A, r):
 
 def probe_indices(rng, dims, count):
     return [tuple(int(rng.integers(1, n + 1)) for n in dims) for _ in range(count)]
+
+
+@st.composite
+def trains(draw):
+    """Dims, chain ranks and a seed for a random train of order 1 to 4."""
+    d = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
+    return tuple(dims), tuple(ranks), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestEveryOrder:
+    """Identities and tolerance bounds that hold for every order, order 1 too."""
+
+    @given(train=trains())
+    def test_add_densifies_to_the_sum(self, train):
+        dims, ranks, seed = train
+        rng = np.random.default_rng(seed)
+        T, S = random_tt(rng, dims, ranks), random_tt(rng, dims, ranks[::-1])
+        expected = tt_reconstruct(T).data + tt_reconstruct(S).data
+        np.testing.assert_allclose(tt_reconstruct(tt_add(T, S)).data, expected,
+                                   rtol=1e-12, atol=1e-12)
+
+    @given(train=trains(), r=st.integers(1, 3))
+    def test_cp_to_tt_densifies_to_the_cp_model(self, train, r):
+        dims, _, seed = train
+        rng = np.random.default_rng(seed)
+        cp = CPDecomposition.from_factors([rng.standard_normal((n, r)) for n in dims],
+                                          rng.standard_normal(r))
+        np.testing.assert_allclose(tt_reconstruct(cp_to_tt(cp)).data,
+                                   cp_reconstruct(cp).data, rtol=1e-12, atol=1e-12)
+
+    @given(train=trains(), tol=st.floats(0.0, 1.0))
+    def test_svd_stays_within_the_tolerance(self, train, tol):
+        dims, _, seed = train
+        A = np.random.default_rng(seed).standard_normal(dims)
+        T, _ = tt_svd(A, rel_tol=tol)
+        err = np.linalg.norm(A - tt_reconstruct(T).data)
+        assert err <= (tol + 1e-12) * np.linalg.norm(A)
+
+    @given(train=trains(), tol=st.floats(0.0, 1.0))
+    def test_round_stays_within_the_tolerance(self, train, tol):
+        dims, ranks, seed = train
+        T = random_tt(np.random.default_rng(seed), dims, ranks)
+        dense = tt_reconstruct(T).data
+        err = np.linalg.norm(dense - tt_reconstruct(tt_round(T, rel_tol=tol)).data)
+        assert err <= (tol + 1e-12) * np.linalg.norm(dense)
 
 
 class TestTTSVD:
