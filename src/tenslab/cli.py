@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-sweeps", type=int, default=100)
     p.add_argument("--stop-tol", type=float, default=1e-12,
-                   help="relative per-sweep objective decrease that stops ALS")
+                   help="relative per-sweep objective decrease that stops ALS; 0 runs every sweep")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decompose)
 

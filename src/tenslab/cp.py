@@ -111,25 +111,21 @@ def cp_reconstruct(cp: CPDecomposition, cap: int | None = None) -> DenseTensor:
 
 def _init_factors(A: DenseTensor, r: int, opts: ALSOptions) -> list[np.ndarray]:
     rng = np.random.default_rng(opts.seed)
+
+    def unit_columns(n: int, k: int) -> np.ndarray:
+        X = rng.uniform(-1.0, 1.0, size=(n, k))
+        return X / np.maximum(np.linalg.norm(X, axis=0), 1e-300)
+
     if opts.init == "random":
-        mats = []
-        for n in A.dims:
-            X = rng.uniform(-1.0, 1.0, size=(n, r))
-            X /= np.maximum(np.linalg.norm(X, axis=0), 1e-300)
-            mats.append(X)
-        return mats
-    if opts.init == "hosvd":
-        ranks = [min(r, n) for n in A.dims]
-        tuck, _ = hosvd(A, ranks)
-        mats = []
-        for n, U in zip(A.dims, tuck.factors):
-            if U.shape[1] < r:
-                pad = rng.uniform(-1.0, 1.0, size=(n, r - U.shape[1]))
-                pad /= np.maximum(np.linalg.norm(pad, axis=0), 1e-300)
-                U = np.hstack([U, pad])
-            mats.append(U.copy())
-        return mats
-    raise ValueError(f"unknown init {opts.init!r}")
+        return [unit_columns(n, r) for n in A.dims]
+    tuck, _ = hosvd(A, [min(r, n) for n in A.dims])
+    return [np.hstack([U, unit_columns(n, r - U.shape[1])])
+            for n, U in zip(A.dims, tuck.factors)]
+
+
+def _cp_error(A: DenseTensor, factors: Sequence[np.ndarray], weights: Sequence[float]) -> float:
+    """``||A - M||**2`` with the CP model ``M`` densified."""
+    return norm(DenseTensor(A.data - cp_product(factors, weights).data)) ** 2
 
 
 def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, ALSTrace]:
@@ -160,11 +156,7 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     weights = np.ones(r)
     unfolds = [matricize(A, mu).data for mu in range(1, d + 1)]
 
-    def dense_objective() -> float:
-        recon = cp_product(factors, weights)
-        return norm(DenseTensor(A.data - recon.data)) ** 2
-
-    trace = ALSTrace(initial=dense_objective())
+    trace = ALSTrace(initial=_cp_error(A, factors, weights))
     for _ in range(opts.max_sweeps):
         flagged = False
         for mu0 in reversed(range(d)):
@@ -184,7 +176,8 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
             # the model is sum_a Y[:, a] (x) U[:, a]; its inner product with
             # A is sum(Y * rhs) and its squared norm sum((Y.T Y) * G)
             value = norm_sq - 2.0 * np.sum(Y * rhs) + np.sum((Y.T @ Y) * G)
-            trace.per_block.append(_guarded(value, norm_sq, dense_objective))
+            trace.per_block.append(
+                _guarded(value, norm_sq, lambda: _cp_error(A, factors, weights)))
         if trace.end_sweep(opts.rel_tol, norm_sq, flagged):
             break
 
@@ -203,39 +196,36 @@ def _contract_except(A: np.ndarray, xs: Sequence[np.ndarray], skip: int | None) 
 
 
 def best_rank_one(A, opts: ALSOptions | None = None) -> tuple[float, list[np.ndarray]]:
-    """Best rank-one approximation by the normalized fixed-point cycle.
+    """Best rank-one approximation by the higher-order power method.
 
-    Cyclically replaces the mode-``mu`` vector by the tensor contracted
-    with all the other (unit) vectors, normalized; at a fixed point the
-    scale is ``alpha = <A, x_1 (x) ... (x) x_d>`` and the squared error
-    is ``||A||**2 - alpha**2``.  For a matrix this converges to the
-    leading singular pair.  Both the updates and ``alpha`` contract the
-    tensor with one vector at a time; no product of vectors is formed.
+    Rank-one ALS from the start of :func:`cp_als`: each update replaces
+    ``x_mu`` by ``y / ||y||``, ``y`` the tensor contracted with the other
+    vectors one at a time; then ``alpha = ||y|| = <A, x_1 (x) ... (x) x_d>``
+    gives the :class:`ALSTrace` value ``||A||**2 - alpha**2`` for free.
+    For a matrix the fixed point is the leading singular pair, which the
+    ``"hosvd"`` start already is.
     """
     A = as_tensor(A)
-    if norm(A) == 0.0:
+    norm_sq = norm(A) ** 2
+    if norm_sq == 0.0:
         raise ValueError("zero tensor has no rank-one direction")
     opts = opts or ALSOptions()
-    d = A.order
-    rng = np.random.default_rng(opts.seed)
-    xs = []
-    for n in A.dims:
-        v = rng.uniform(-1.0, 1.0, size=n)
-        xs.append(v / np.linalg.norm(v))
-
+    xs = [X[:, 0] for X in _init_factors(A, 1, opts)]
     alpha = float(_contract_except(A.data, xs, None))
+
+    def dense_error() -> float:
+        return _cp_error(A, [x[:, None] for x in xs], [alpha])
+
+    trace = ALSTrace(initial=_guarded(norm_sq - alpha ** 2, norm_sq, dense_error))
     for _ in range(opts.max_sweeps):
-        for mu0 in range(d):
+        for mu0 in range(A.order):
             y = _contract_except(A.data, xs, mu0)
-            nrm = float(np.linalg.norm(y))
-            if nrm == 0.0:
-                break
-            xs[mu0] = y / nrm
-        new_alpha = float(_contract_except(A.data, xs, None))
-        if abs(new_alpha - alpha) <= opts.rel_tol * max(abs(new_alpha), 1e-300):
-            alpha = new_alpha
+            alpha = float(np.linalg.norm(y))
+            if alpha > 0.0:  # else x_mu stays, and <A, x> = <y, x_mu> = 0 = alpha
+                xs[mu0] = y / alpha
+            trace.per_block.append(_guarded(norm_sq - alpha ** 2, norm_sq, dense_error))
+        if trace.end_sweep(opts.rel_tol, norm_sq):
             break
-        alpha = new_alpha
     return alpha, xs
 
 

@@ -164,13 +164,11 @@ def discretize(f: Callable | MonomialPoly, grid: CartesianGrid) -> DenseTensor:
     on the whole grid at once, bit-identical to calling it per point.
     Any other callable is called once per grid point, since a callable
     that accepts arrays is not necessarily elementwise.  Evaluation
-    failures are re-raised with the offending grid point attached.
+    failures are re-raised with the offending grid point attached (the
+    mesh point, for an overflowing power of a polynomial).
     """
     if isinstance(f, MonomialPoly) and f.arity == grid.arity:
-        try:
-            return DenseTensor(_poly_on_grid(f, grid))
-        except OverflowError:
-            pass  # the per-point loop below names the failing grid point
+        return DenseTensor(_poly_on_grid(f, grid))
     shape = grid.shape
     out = np.empty(shape)
     axes = [m.points for m in grid.meshes]
@@ -183,24 +181,34 @@ def discretize(f: Callable | MonomialPoly, grid: CartesianGrid) -> DenseTensor:
     return DenseTensor(out)
 
 
-def _poly_on_grid(P: MonomialPoly, grid: CartesianGrid) -> np.ndarray:
-    """``P`` on the open grid, with the operations of ``P.__call__`` in its order.
+def _powers(P: MonomialPoly, grid: CartesianGrid) -> list[np.ndarray]:
+    """Per mode, the ``(n_mu, terms)`` powers of the mesh points by Python's
+    float ``**``, as in ``P.__call__`` (numpy's ``power`` may round
+    differently); an overflow raises a ``ValueError`` naming the point."""
+    out = []
+    for mesh, exps in zip(grid.meshes, zip(*(e for _, e in P.terms))):
+        rows = []
+        for x in mesh.points:
+            try:
+                rows.append([x ** k for k in exps])
+            except OverflowError as exc:
+                raise ValueError(f"evaluation failed at mesh point {x!r}") from exc
+        out.append(np.array(rows))
+    return out
 
-    Powers come from Python's float ``**`` (numpy's ``power`` may round
-    differently), so they raise ``OverflowError`` where a call at a grid
-    point would.  An exponent of 0 multiplies by 1.0, which changes no
-    bits and is skipped; each term is broadcast into the sum because
-    a variable absent from every term adds no axis to it.
-    """
-    axes = [[-1 if nu == mu else 1 for nu in range(grid.arity)] for mu in range(grid.arity)]
+
+def _poly_on_grid(P: MonomialPoly, grid: CartesianGrid) -> np.ndarray:
+    """``P`` on the open grid by the operations of ``P.__call__``, in its
+    order; an exponent of 0 multiplies by 1.0, which changes no bits, and
+    is skipped."""
+    powers = _powers(P, grid)
     total = np.zeros(grid.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python float arithmetic
-        for coeff, exps in P.terms:
+        for a, (coeff, exps) in enumerate(P.terms):
             term = coeff
-            for mu, k in enumerate(exps):
+            for column, k in zip(np.ix_(*(p[:, a] for p in powers)), exps):
                 if k:
-                    mesh = grid.meshes[mu].points
-                    term = term * np.array([x ** k for x in mesh]).reshape(axes[mu])
+                    term = term * column
             total += term
     return total
 
@@ -210,17 +218,12 @@ def poly_discretize_cp(P: MonomialPoly, grid: CartesianGrid) -> CPDecomposition:
     monomial.
 
     Factor column ``a`` on mode ``mu`` is the mesh raised to the term's
-    ``mu``-th exponent, so the term count never depends on mesh sizes.
+    ``mu``-th exponent, with the powers of :func:`discretize`, so the term
+    count never depends on mesh sizes.
     """
     if P.arity != grid.arity:
         raise ValueError(f"polynomial arity {P.arity} != grid arity {grid.arity}")
-    weights = np.array([c for c, _ in P.terms])
-    factors = []
-    for mu in range(P.arity):
-        x = grid.meshes[mu].array
-        cols = np.stack([x ** exps[mu] for _, exps in P.terms], axis=1)
-        factors.append(cols)
-    return CPDecomposition.from_factors(factors, weights)
+    return CPDecomposition.from_factors(_powers(P, grid), [c for c, _ in P.terms])
 
 
 def chebyshev_eval(n: int, x):
@@ -236,18 +239,15 @@ def chebyshev_eval(n: int, x):
     if np.any(np.abs(arr) > 1.0):
         warnings.warn("evaluating a Chebyshev polynomial outside [-1, 1]",
                       stacklevel=2)
-    prev, cur = np.ones_like(arr), arr.copy()
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * arr * cur - prev
-    out = prev if n == 0 else cur
+    out = _cheb_basis(arr.reshape(-1), n + 1)[n].reshape(arr.shape)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def _cheb_basis(x: np.ndarray, n: int) -> np.ndarray:
     """``T_0..T_{n-1}`` at every entry of the vector ``x``, one row each.
 
-    The recurrence of :func:`chebyshev_eval` (and of numpy's
-    ``chebvander``), so the rows carry the same bits.
+    The stable three-term recurrence, as in numpy's ``chebvander``, so
+    the rows carry the same bits.
     """
     out = np.empty((n, len(x)))
     out[0] = 1.0
@@ -260,6 +260,9 @@ def _cheb_basis(x: np.ndarray, n: int) -> np.ndarray:
 
 def chebyshev_nodes(m: int) -> np.ndarray:
     """The ``m`` Gauss-Chebyshev nodes ``cos((2k - 1) pi / (2m))``, ascending."""
+    m = _integers([m], "node count")[0]
+    if m < 1:
+        raise ValueError(f"node count {m} must be >= 1")
     k = np.arange(1, m + 1)
     return np.sort(np.cos((2 * k - 1) * np.pi / (2 * m)))
 
@@ -337,8 +340,8 @@ def affine_rescaled(f: Callable, bounds: Sequence[tuple[float, float]]) -> Calla
     """
     los = np.array([lo for lo, _ in bounds], dtype=np.float64)
     his = np.array([hi for _, hi in bounds], dtype=np.float64)
-    if np.any(his <= los):
-        raise ValueError("every bound must satisfy lo < hi")
+    if not np.all(np.isfinite(los) & np.isfinite(his) & (his > los)):
+        raise ValueError(f"every bound must be finite with lo < hi, got {list(bounds)}")
 
     def wrapped(*u: float) -> float:
         u_arr = np.asarray(u, dtype=np.float64)

@@ -60,8 +60,9 @@ class TTTensor:
         if not cs:
             raise ValueError("a tensor train needs at least one core")
         for mu, G in enumerate(cs, start=1):
-            if G.ndim != 3:
-                raise ValueError(f"core {mu} has order {G.ndim}, expected 3")
+            if G.ndim != 3 or not G.shape[1]:
+                raise ValueError(f"core {mu} has shape {G.shape}, expected (r, n, r') "
+                                 f"with n >= 1")
         if cs[0].shape[0] != 1 or cs[-1].shape[2] != 1:
             raise ValueError("boundary ranks must be 1")
         for mu in range(len(cs) - 1):

@@ -6,9 +6,9 @@ reproduces the tensor.  :func:`hosvd` builds the factors from one SVD
 per mode-wise unfolding, :func:`hooi` refines them by alternating
 constrained SVDs.
 
-Both alternating solvers, :func:`hooi` and :func:`tenslab.cp.cp_als`,
-take :class:`ALSOptions` and return an :class:`ALSTrace`; the trace's
-docstring states the roundoff guard and the stop rule they share.
+The alternating solvers :func:`hooi`, :func:`tenslab.cp.cp_als` and
+:func:`tenslab.cp.best_rank_one` share :class:`ALSOptions` and
+:class:`ALSTrace`, whose docstrings state the start, guard and stop rule.
 """
 from __future__ import annotations
 
@@ -37,8 +37,11 @@ _IDENTITY_GUARD = 1e-8
 
 @dataclass
 class ALSOptions:
-    """Knobs shared by the alternating solvers; see :class:`ALSTrace`
-    for the stop rule that ``rel_tol`` sets."""
+    """Knobs of the alternating solvers.  All read ``max_sweeps`` and
+    ``rel_tol`` (the stop rule of :class:`ALSTrace`); :func:`hooi` starts
+    from its HOSVD, while :func:`tenslab.cp.cp_als` and
+    :func:`tenslab.cp.best_rank_one` start from ``init``: ``"random"`` unit
+    columns drawn from ``seed``, or ``"hosvd"`` bases padded with such."""
 
     max_sweeps: int = 100
     rel_tol: float = 1e-12
@@ -50,6 +53,8 @@ class ALSOptions:
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         check_tolerance(self.rel_tol)
+        if self.init not in ("random", "hosvd"):
+            raise ValueError(f"unknown init {self.init!r}; expected 'random' or 'hosvd'")
 
 
 @dataclass
@@ -57,14 +62,14 @@ class ALSTrace:
     """Squared errors ``||A - M||**2`` recorded by an alternating solver.
 
     ``per_block`` holds one value after every block update (a factor
-    solve of :func:`tenslab.cp.cp_als`, a mode step of :func:`hooi`),
-    ``per_sweep`` the last block value of each sweep, and
-    ``flagged_sweeps`` the sweeps whose Gram solve dropped eigenvalues.
-    Each value after ``initial`` comes from an identity, which cancels
-    near roundoff: :func:`_guarded` recomputes it from the dense model
-    when it is at most ``1e-8 * ||A||**2``.  :meth:`end_sweep` stops the
-    iteration once the sweep value is exactly zero or fell by less than
-    ``rel_tol * ||A||**2`` over the sweep.
+    solve of :func:`tenslab.cp.cp_als`, a mode step of :func:`hooi`, a
+    vector update of :func:`tenslab.cp.best_rank_one`), ``per_sweep`` the
+    last block value of each sweep, and ``flagged_sweeps`` the sweeps
+    whose Gram solve dropped eigenvalues.  Values after ``initial`` come
+    from identities, which cancel near roundoff: :func:`_guarded` takes
+    the dense model's error at or below ``1e-8 * ||A||**2``.  :meth:`end_sweep`
+    stops at a sweep value of exactly 0 or, for ``rel_tol > 0``, one that
+    fell by less than ``rel_tol * ||A||**2`` over the sweep.
     """
 
     initial: float
@@ -82,7 +87,7 @@ class ALSTrace:
         if flagged:
             self.flagged_sweeps.append(len(self.per_sweep))
         self.per_sweep.append(current)
-        return current == 0.0 or prev - current < rel_tol * norm_sq
+        return current == 0.0 or (rel_tol > 0 and prev - current < rel_tol * norm_sq)
 
 
 def _guarded(value: float, norm_sq: float, dense_fn: Callable[[], float]) -> float:
@@ -206,7 +211,7 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None,
     singular values of that step, so no step densifies.
     """
     A = as_tensor(A)
-    opts = opts or ALSOptions(max_sweeps=50)
+    opts = opts or ALSOptions()
     tuck, _ = hosvd(A, ranks, rel_tol)
     ranks = tuck.ranks
     factors = [U.copy() for U in tuck.factors]

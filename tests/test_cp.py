@@ -262,6 +262,63 @@ class TestBestRankOne:
             best_rank_one(np.zeros((2, 2)))
 
 
+class TestBestRankOneSharesTheALSContract:
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Count contractions and record what every ``end_sweep`` returned."""
+        seen = {"contractions": 0, "stops": []}
+        contract, end_sweep = tenslab.cp._contract_except, tenslab.cp.ALSTrace.end_sweep
+
+        def counting(*args):
+            seen["contractions"] += 1
+            return contract(*args)
+
+        def recording(self, *args):
+            seen["stops"].append(end_sweep(self, *args))
+            return seen["stops"][-1]
+
+        monkeypatch.setattr(tenslab.cp, "_contract_except", counting)
+        monkeypatch.setattr(tenslab.cp.ALSTrace, "end_sweep", recording)
+        return seen
+
+    @staticmethod
+    def planted(rng, n=8, r=3):
+        # collinear planted factors, as in the cp-fit benchmark input
+        mix = np.linalg.cholesky(0.2 * np.eye(r) + 0.8 * np.ones((r, r))).T
+        factors = [np.linalg.qr(rng.standard_normal((n, r)))[0] @ mix for _ in range(3)]
+        A = np.einsum("ia,ja,ka->ijk", *factors)
+        return A + 0.01 * np.linalg.norm(A) * rng.standard_normal(A.shape) / n ** 1.5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_tolerance_runs_every_sweep(self, spy, seed):
+        A = self.planted(np.random.default_rng(seed))
+        alpha, xs = best_rank_one(A, ALSOptions(max_sweeps=10, rel_tol=0.0, seed=seed))
+        assert spy["stops"] == [False] * 10
+        # one contraction for the start, then one per vector update
+        assert spy["contractions"] == 1 + 3 * 10
+        assert alpha == pytest.approx(np.einsum("ijk,i,j,k->", A, *xs), rel=1e-12)
+
+    def test_positive_tolerance_stops_where_the_trace_says(self, spy, rng):
+        A = self.planted(rng)
+        best_rank_one(A, ALSOptions(max_sweeps=100, rel_tol=1e-10, seed=3))
+        sweeps = len(spy["stops"])
+        assert 1 < sweeps < 100
+        assert spy["stops"] == [False] * (sweeps - 1) + [True]
+        assert spy["contractions"] == 1 + 3 * sweeps
+
+    def test_hosvd_start_on_a_matrix_is_the_leading_singular_pair(self, rng):
+        M = rng.standard_normal((6, 4))
+        U, s, Vt = np.linalg.svd(M)
+        opts = ALSOptions(max_sweeps=1, init="hosvd")
+        start = tenslab.cp._init_factors(DenseTensor(M), 1, opts)
+        for X, exact in zip(start, (U[:, 0], Vt[0])):
+            assert abs(X[:, 0] @ exact) == pytest.approx(1.0, abs=1e-12)
+        alpha, (x, y) = best_rank_one(M, opts)
+        assert alpha == pytest.approx(s[0], rel=1e-12)
+        assert abs(x @ U[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(y @ Vt[0]) == pytest.approx(1.0, abs=1e-12)
+
+
 def tensor_from_slices(A1, A2):
     return DenseTensor(np.stack([np.asarray(A1, float), np.asarray(A2, float)], axis=2))
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from tenslab import (
     CartesianGrid,
+    CPDecomposition,
     DenseTensor,
     Mesh,
     MonomialPoly,
@@ -178,6 +180,25 @@ class TestPolyCP:
         with pytest.raises(ValueError):
             poly_discretize_cp(P, CartesianGrid([Mesh([0.0, 1.0])]))
 
+    def test_columns_are_the_powers_of_discretize(self, rng):
+        # Python's float ** and numpy's power differ in the last bit on a few
+        # per cent of these entries; the sidecar takes the grid's powers
+        x = np.sort(rng.uniform(-2.0, 2.0, 200))
+        exps = [3, 4, 5, 6, 7]
+        P = MonomialPoly([(1.0, (k,)) for k in exps])
+        expected = CPDecomposition.from_factors([[[xi ** k for k in exps] for xi in x]],
+                                                [1.0] * len(exps))
+        cp = poly_discretize_cp(P, CartesianGrid([Mesh(x)]))
+        np.testing.assert_array_equal(cp.factors[0], expected.factors[0])
+        np.testing.assert_array_equal(cp.weights, expected.weights)
+
+    def test_overflow_names_the_mesh_point_without_warnings(self):
+        P = MonomialPoly([(1.0, (3,))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"1e\+200"):
+                poly_discretize_cp(P, CartesianGrid([Mesh([1.0, 1e200])]))
+
 
 class TestChebyshevEval:
     def test_low_degrees(self):
@@ -208,6 +229,25 @@ class TestChebyshevEval:
     def test_outside_interval_flagged(self):
         with pytest.warns(UserWarning):
             chebyshev_eval(3, 1.5)
+
+    def test_bits_of_chebvander(self, rng):
+        x = rng.uniform(-1.0, 1.0, (4, 25))
+        table = npcheb.chebvander(x, 12)
+        for n in range(13):
+            np.testing.assert_array_equal(chebyshev_eval(n, x), table[..., n])
+            assert chebyshev_eval(n, float(x[0, 0])) == table[0, 0, n]
+
+
+class TestChebyshevNodes:
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_count_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"node count {m} must be >= 1"):
+            chebyshev_nodes(m)
+
+    @pytest.mark.parametrize("m", [2.5, math.inf])
+    def test_non_integral_count_rejected(self, m):
+        with pytest.raises(ValueError, match="non-integral"):
+            chebyshev_nodes(m)
 
 
 class TestChebProject:
@@ -292,6 +332,12 @@ class TestAffineRescale:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             affine_rescaled(lambda x: x, [(1.0, 1.0)])
+
+    @pytest.mark.parametrize("bound", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                       (-math.inf, 0.0)])
+    def test_non_finite_bounds_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            affine_rescaled(lambda x, y: x + y, [(0.0, 1.0), bound])
 
 
 def _pointwise(P, grid):

@@ -16,7 +16,7 @@ from tenslab.contract import contract, contract_sequence, structure_tensor_matve
 from tenslab.cp import cp_als, cp_rank_lower_bound
 from tenslab.dense import (DenseTensor, Permutation, _one_based, check_dense_cap, matricize,
                            matricize_general, permute_modes, reshape_tensor, slice_tensor)
-from tenslab.funcgrid import Mesh, MonomialPoly, cheb_project, chebyshev_eval
+from tenslab.funcgrid import Mesh, MonomialPoly, cheb_project, chebyshev_eval, chebyshev_nodes
 from tenslab.linalg import ball_volume, cur, greedy_cur_pivots, tracy_singh
 from tenslab.tt import additive_tt, tt_entry, tt_marginal, tt_round, tt_svd, tt_to_cp, zeros_tt
 from tenslab.tucker import ALSOptions, hosvd
@@ -54,6 +54,7 @@ ENTRY_POINTS = [
     ("zeros_tt", lambda v: zeros_tt([v, 3]).cores, 0),
     ("cheb_project", lambda v: cheb_project(P, [v]), -1),
     ("chebyshev_eval", lambda v: chebyshev_eval(v, 0.5), -1),
+    ("chebyshev_nodes", lambda v: chebyshev_nodes(v), 0),
     ("ball_volume", lambda v: ball_volume(v, 2), 0),
     ("cp_rank_lower_bound", lambda v: cp_rank_lower_bound([v, 2, 2]), 0),
     ("structure_tensor_matvec", lambda v: structure_tensor_matvec(v, 3), 0),

@@ -209,6 +209,11 @@ class TestEntryAndDense:
         T = TTTensor([np.ones((1, 1, 1))])
         assert tt_entry(T, (1,)) == 1.0
 
+    def test_mode_of_size_zero_rejected(self):
+        # as DenseTensor, zeros_tt and read_tt reject one
+        with pytest.raises(ValueError, match=r"core 2 has shape \(1, 0, 1\)"):
+            TTTensor([np.ones((1, 2, 1)), np.ones((1, 0, 1))])
+
     def test_additive_entries(self, rng):
         n = 5
         f, g, h = (rng.standard_normal(n) for _ in range(3))
@@ -554,6 +559,10 @@ class TestAdditive:
     def test_needs_two_modes(self, rng):
         with pytest.raises(ValueError):
             additive_tt([rng.standard_normal(3)])
+
+    def test_empty_mode_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            additive_tt([[], [1.0, 2.0]])
 
 
 class TestTargets:

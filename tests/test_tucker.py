@@ -8,6 +8,7 @@ import tenslab.tucker
 
 from tenslab import (
     ALSOptions,
+    ALSTrace,
     DenseTensor,
     hooi,
     hosvd,
@@ -240,6 +241,33 @@ class TestHOOI:
         sweeps = len(trace.per_sweep)
         # the HOSVD core, one projection per mode step, and the final core
         assert len(calls) == 1 + 3 * sweeps + 1
+
+
+class TestOneOptionsContract:
+    def test_unknown_init_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            ALSOptions(init="bogus")
+
+    def test_zero_tolerance_stops_only_at_an_exact_zero(self):
+        values = [0.5, 0.5, 0.5 + 1e-16, 0.0]
+        for rel_tol, stops in [(0.0, [False, False, False, True]), (0.1, [False, True])]:
+            trace = ALSTrace(initial=1.0)
+            for value, stop in zip(values, stops):
+                trace.per_block.append(value)
+                assert trace.end_sweep(rel_tol, 1.0) is stop
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hooi_zero_tolerance_runs_every_sweep(self, seed):
+        # a planted Tucker tensor with 1e-3 noise: the sweep values agree to
+        # roundoff from the first sweep on, so any roundoff rise would stop it
+        rng = np.random.default_rng(seed)
+        n, r = 12, 4
+        core = rng.standard_normal((r, r, r))
+        Y = multilinear_apply(core, [random_orthonormal(rng, n, r) for _ in range(3)]).data
+        E = rng.standard_normal(Y.shape)
+        Y = Y + E * (1e-3 * np.linalg.norm(Y) / np.linalg.norm(E))
+        _, trace = hooi(Y, (r, r, r), ALSOptions(max_sweeps=5, rel_tol=0.0))
+        assert len(trace.per_sweep) == 5
 
 
 class TestDenseCap:
