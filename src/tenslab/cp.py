@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
-from .linalg import RANK_CUTOFF, _khatri_rao_others, cp_product
+from .linalg import _khatri_rao_others, _significant, cp_product
 from .tucker import ALSOptions, ALSTrace, _guarded, hosvd
 
 __all__ = [
@@ -44,6 +44,8 @@ __all__ = [
 RANK2 = "Rank2"
 RANK3 = "Rank3"
 BOUNDARY = "Boundary"
+# half-width of the boundary band of rank222_classify, relative to max|entry|**4
+_BOUNDARY_TOL = 1e-10
 
 
 @dataclass
@@ -136,7 +138,7 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     factors are combined columnwise into ``U``, and the exact block
     minimizer ``X = A.T @ U @ inv(U.T U)`` is taken from one
     eigendecomposition of the Gram matrix; eigenvalues at most
-    ``RANK_CUTOFF`` times the largest are dropped (a pseudo-inverse, with
+    ``linalg.RANK_CUTOFF`` times the largest are dropped (a pseudo-inverse, with
     the sweep flagged).  Factor columns are renormalized into the weights
     after each update, so the objective is non-increasing across block
     updates.  The objective after each update comes from the Gram
@@ -166,7 +168,7 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
             G = U.T @ U
             rhs = unfolds[mu0].T @ U
             lam, Q = np.linalg.eigh(G)
-            keep = lam > RANK_CUTOFF * lam[-1]
+            keep = _significant(lam)
             flagged |= not keep.all()
             Y = (rhs @ Q[:, keep] / lam[keep]) @ Q[:, keep].T
             # a zero column keeps its previous unit column, with weight 0
@@ -253,18 +255,18 @@ def hyperdeterminant_222(A) -> float:
     return float(tr_m * tr_m - 4.0 * det_m)
 
 
-def rank222_classify(A, boundary_tol: float = 1e-10) -> str:
+def rank222_classify(A) -> str:
     """Classify a ``2 x 2 x 2`` tensor as rank 2, rank 3 or boundary.
 
     The hyperdeterminant is quartic in the entries, so the boundary band
-    is ``|delta| <= boundary_tol * max|entry|**4``.
+    is ``|delta| <= 1e-10 * max|entry|**4``.
     """
     A = as_tensor(A)
     delta = hyperdeterminant_222(A)
     scale = norm(A, np.inf) ** 4
-    if delta > boundary_tol * scale:
+    if delta > _BOUNDARY_TOL * scale:
         return RANK2
-    if delta < -boundary_tol * scale:
+    if delta < -_BOUNDARY_TOL * scale:
         return RANK3
     return BOUNDARY
 
@@ -300,8 +302,7 @@ def border_rank_demo(xs: Sequence, ys: Sequence, k: float) -> tuple[DenseTensor,
     for i, (x, y) in enumerate(zip(X, Y), start=1):
         if x.shape != y.shape:
             raise ValueError(f"pair {i} has mismatched lengths")
-        s = np.linalg.svd(np.stack([x, y]), compute_uv=False)
-        if s[0] == 0 or s[-1] <= 1e-12 * s[0]:
+        if not _significant(np.linalg.svd(np.stack([x, y]), compute_uv=False)).all():
             raise ValueError(f"pair {i} is not linearly independent")
 
     def outer3(u, v, w):

@@ -201,6 +201,11 @@ def _check_multi_index(index: Sequence[int], dims: tuple[int, ...]) -> tuple[int
     return _one_based(idx, dims, "multi-index")
 
 
+def _sign(img: Sequence[int]) -> int:
+    """Sign of a permutation given by its image: -1 per inversion."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(img, 2))
+
+
 class Permutation:
     """A bijection of the modes ``{1..d}``.
 
@@ -244,19 +249,7 @@ class Permutation:
         return Permutation(other.image[s - 1] for s in self.image)
 
     def sign(self) -> int:
-        img = [s - 1 for s in self.image]
-        seen, sign = [False] * len(img), 1
-        for start in range(len(img)):
-            if seen[start]:
-                continue
-            length, j = 0, start
-            while not seen[j]:
-                seen[j] = True
-                j = img[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return _sign(self.image)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.image == other.image
@@ -403,25 +396,25 @@ def _check_cubical(A: DenseTensor) -> None:
         raise ValueError(f"operation needs a cubical tensor, got dims {A.dims}")
 
 
-def sym(A) -> DenseTensor:
-    """Symmetric part: average of ``A`` over all mode permutations."""
+def _permutation_average(A, signed: bool) -> DenseTensor:
+    """Average of ``A`` over all mode permutations, each term times the
+    permutation's sign if ``signed``."""
     A = as_tensor(A)
     _check_cubical(A)
     acc = np.zeros_like(A.data)
     for axes in itertools.permutations(range(A.order)):
-        acc += np.transpose(A.data, axes)
+        acc += (_sign(axes) if signed else 1) * np.transpose(A.data, axes)
     return DenseTensor(acc / math.factorial(A.order))
+
+
+def sym(A) -> DenseTensor:
+    """Symmetric part: average of ``A`` over all mode permutations."""
+    return _permutation_average(A, signed=False)
 
 
 def antisym(A) -> DenseTensor:
     """Antisymmetric part: signed average over all mode permutations."""
-    A = as_tensor(A)
-    _check_cubical(A)
-    acc = np.zeros_like(A.data)
-    for perm in itertools.permutations(range(1, A.order + 1)):
-        p = Permutation(perm)
-        acc += p.sign() * np.transpose(A.data, [s - 1 for s in perm])
-    return DenseTensor(acc / math.factorial(A.order))
+    return _permutation_average(A, signed=True)
 
 
 def wedge(a, b) -> DenseTensor:

@@ -67,7 +67,12 @@ class Mesh:
         if n < 1:
             raise ValueError(f"mesh size {n} must be >= 1")
         ends = cls((lo, hi))                        # checks the end points
-        return cls(ends.points[:n]) if n <= 2 else cls(np.linspace(lo, hi, n))
+        if n <= 2:
+            return cls(ends.points[:n])
+        a, b = ends.points
+        if not np.isfinite(b - a):
+            raise ValueError(f"mesh span hi - lo overflows float64 for lo={a!r}, hi={b!r}")
+        return cls(np.linspace(lo, hi, n))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -146,10 +151,6 @@ class MonomialPoly:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
-
-    def degrees(self) -> tuple[int, ...]:
-        """Per-variable maximum degree."""
-        return tuple(max(e[mu] for _, e in self.terms) for mu in range(self.arity))
 
     def __repr__(self):
         return f"MonomialPoly({self.n_terms} terms, arity {self.arity})"

@@ -11,7 +11,10 @@ from :func:`one_sided_svd`, which reduces a tall matrix to its small
 triangle by Householder QR first, so no engine forms the long factor it
 would drop; the sign convention lands on the factor the engine keeps.
 Every truncating engine calls :meth:`SVDResult.truncate_to`, the one place
-that applies :func:`truncation_rank`; tolerances pass :func:`check_tolerance`.
+that applies :func:`truncation_rank`; tolerances pass :func:`check_tolerance`,
+and ``_tail_budget`` is the one split of a tolerance over ``k`` truncations.
+``_significant`` is the one numerical-rank rule (``RANK_CUTOFF``), shared
+by the pseudo-inverse, CUR, the CP-ALS Gram solve and the border-rank demo.
 :func:`cp_product` and the CP-ALS update share one Khatri-Rao chain,
 which alone fixes the row order of every CP unfolding.
 """
@@ -47,8 +50,20 @@ __all__ = [
 ]
 
 # relative cutoff sigma <= RANK_CUTOFF * sigma_1 below which a singular
-# value is treated as zero; single global knob, overridable per call
+# value is treated as zero; applied only through _significant
 RANK_CUTOFF = 1e-12
+
+
+def _significant(s: np.ndarray) -> np.ndarray:
+    """Mask of the values of a spectrum ``s`` above ``RANK_CUTOFF * max(s)``;
+    all False when ``max(s) == 0``."""
+    return s > RANK_CUTOFF * np.max(s, initial=0.0)
+
+
+def _tail_budget(rel_tol: float | None, energy: float, parts: int) -> float | None:
+    """Squared tail each of ``parts`` truncations may drop so that together
+    they stay within ``rel_tol`` of ``sqrt(energy)``; None without a tolerance."""
+    return None if rel_tol is None else (rel_tol / math.sqrt(parts)) ** 2 * energy
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -171,21 +186,18 @@ def svd_to_tolerance(M, rel_tol: float) -> SVDResult:
     """
     check_tolerance(rel_tol)
     full = svd(M)
-    return full.truncate_to(budget=rel_tol ** 2 * float(np.sum(full.singular_values ** 2)))
+    energy = float(np.sum(full.singular_values ** 2))
+    return full.truncate_to(budget=_tail_budget(rel_tol, energy, 1))
 
 
-def pseudo_inverse(M, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def pseudo_inverse(M) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the dyadic decomposition.
 
-    Singular values below ``rank_cutoff * sigma_1`` are dropped.
+    Singular values at most ``RANK_CUTOFF * sigma_1`` are dropped.
     """
     res = svd(M)
     s = res.singular_values
-    if len(s) == 0 or s[0] == 0.0:
-        return np.zeros((res.V.shape[0], res.U.shape[0]))
-    keep = s > rank_cutoff * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=_significant(s))
     return (res.V * inv) @ res.U.T
 
 
@@ -277,14 +289,14 @@ def cp_product(factors: Sequence, weights=None) -> DenseTensor:
     return DenseTensor(out.reshape(dims))
 
 
-def cur(A, rows: Sequence[int], cols: Sequence[int],
-        rank_cutoff: float = RANK_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
+def cur(A, rows: Sequence[int], cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """CUR approximation ``C @ inv(Ahat) @ R`` from sampled rows/columns.
 
     ``rows`` and ``cols`` are 1-based index sets of equal size ``r``.
     Returns the approximation together with the intersection block
-    ``Ahat``.  Exact when ``rank(A) = r`` and ``Ahat`` is nonsingular; a
-    numerically singular intersection raises.
+    ``Ahat``.  Exact when ``rank(A) = r`` and ``Ahat`` is nonsingular; an
+    intersection with a singular value at most ``RANK_CUTOFF * sigma_1``
+    raises.
     """
     A = _as_matrix(A)
     I = list(_one_based(rows, A.shape[0], "rows"))
@@ -294,8 +306,7 @@ def cur(A, rows: Sequence[int], cols: Sequence[int],
     if not I:
         raise ValueError("rows and cols are empty index sets; CUR needs rank >= 1")
     Ahat = A[np.ix_(I, J)]
-    s = np.linalg.svd(Ahat, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= rank_cutoff * s[0]:
+    if not _significant(np.linalg.svd(Ahat, compute_uv=False)).all():
         raise ValueError("intersection block is numerically singular")
     C = A[:, J]
     R = A[I, :]

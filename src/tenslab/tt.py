@@ -25,7 +25,7 @@ import numpy as np
 
 from .dense import DenseTensor, _check_multi_index, _integers, _one_based, as_tensor, \
     check_dense_cap, norm
-from .linalg import check_tolerance, one_sided_svd
+from .linalg import _tail_budget, check_tolerance, one_sided_svd
 from .cp import CPDecomposition
 
 __all__ = [
@@ -132,11 +132,6 @@ def _check_targets(d: int, ranks, rel_tol) -> Sequence:
     return ranks
 
 
-def _budget(rel_tol: float | None, norm_a: float, d: int) -> float | None:
-    """Squared tail each of the ``d-1`` steps may drop for ``rel_tol``."""
-    return None if rel_tol is None else (rel_tol * norm_a / math.sqrt(max(d - 1, 1))) ** 2
-
-
 def _step(M: np.ndarray, cap: int | None, budget: float | None):
     """Left-to-right truncation step of ``tt_svd`` and ``tt_round``.
 
@@ -166,7 +161,7 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
     A = as_tensor(A)
     ranks = _check_targets(A.order, ranks, rel_tol)
     norm_a = norm(A)
-    budget = _budget(rel_tol, norm_a, A.order)
+    budget = _tail_budget(rel_tol, norm_a ** 2, max(A.order - 1, 1))
 
     cores, qualities, tails = [], [], []
     W = A.data.reshape(1, -1)
@@ -270,7 +265,7 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
         cores[mu - 1] = np.tensordot(cores[mu - 1], R.T, axes=(2, 0))
 
     # all later cores are orthogonal now, so the first holds the norm
-    budget = _budget(rel_tol, float(np.linalg.norm(cores[0])), d)
+    budget = _tail_budget(rel_tol, float(np.linalg.norm(cores[0])) ** 2, max(d - 1, 1))
 
     # left-to-right: truncate
     for mu in range(d - 1):

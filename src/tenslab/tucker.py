@@ -12,7 +12,6 @@ The alternating solvers :func:`hooi`, :func:`tenslab.cp.cp_als` and
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .dense import DenseTensor, _integers, _one_based, as_tensor, check_dense_cap, \
     matricize, norm
-from .linalg import check_tolerance, one_sided_svd
+from .linalg import _tail_budget, check_tolerance, one_sided_svd
 
 __all__ = [
     "ALSOptions",
@@ -185,8 +184,7 @@ def hosvd(A, ranks: Sequence[int], rel_tol: float | None = None
     for mu, cap in enumerate(ranks, start=1):
         res = one_sided_svd(matricize(A, mu).data)
         s = res.singular_values
-        budget = None if rel_tol is None else \
-            (rel_tol / math.sqrt(A.order)) ** 2 * float(np.sum(s ** 2))
+        budget = _tail_budget(rel_tol, float(np.sum(s ** 2)), A.order)
         spectra.append(s.copy())
         factors.append(res.truncate_to(cap, budget).U)
     core = multilinear_apply(A, [U.T for U in factors])

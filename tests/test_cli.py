@@ -1,6 +1,7 @@
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,16 @@ class TestGrid:
                            "--out", str(out))
         assert code == 2
         assert f"mesh point {bad} is not finite" in err
+        assert not out.exists()
+
+    def test_overflowing_inline_mesh_span_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "x.dten"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "grid", "--builtin", "constant",
+                               "--mesh=-1e308:1e308:3", "--out", str(out))
+        assert code == 2
+        assert "lo=-1e+308, hi=1e+308" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])

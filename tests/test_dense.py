@@ -91,6 +91,11 @@ class TestPermutation:
         assert Permutation((1, 2, 3)).sign() == 1
         assert Permutation((2, 1, 3)).sign() == -1
         assert Permutation((3, 1, 2)).sign() == 1
+        # every permutation of up to 5 modes: the determinant of its matrix
+        for d in range(1, 6):
+            for img in itertools.permutations(range(1, d + 1)):
+                P = np.eye(d)[[s - 1 for s in img]]
+                assert Permutation(img).sign() == round(np.linalg.det(P))
 
     def test_length_mismatch_rejected(self, rng):
         A = DenseTensor(rng.standard_normal((2, 2)))
@@ -325,6 +330,17 @@ class TestSymmetry:
     def test_sym_plus_antisym_matrix(self, rng):
         A = DenseTensor(rng.standard_normal((4, 4)))
         np.testing.assert_allclose(sym(A).data + antisym(A).data, A.data, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bits_of_the_explicit_signed_sum(self, rng, d):
+        X = rng.standard_normal((3,) * d)
+        plain, signed = np.zeros_like(X), np.zeros_like(X)
+        for img in itertools.permutations(range(1, d + 1)):
+            axes = [s - 1 for s in img]
+            plain += np.transpose(X, axes)
+            signed += Permutation(img).sign() * np.transpose(X, axes)
+        assert sym(X).data.tobytes() == (plain / math.factorial(d)).tobytes()
+        assert antisym(X).data.tobytes() == (signed / math.factorial(d)).tobytes()
 
     def test_non_cubical_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -51,6 +51,14 @@ class TestMeshAndGrid:
             Mesh.uniform(0.0, hi, n)
         assert Mesh.uniform(0.0, 1.0, n).points[0] == 0.0
 
+    def test_uniform_rejects_an_overflowing_span(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"lo=-1e\+308, hi=1e\+308"):
+                Mesh.uniform(-1e308, 1e308, 3)
+            assert Mesh.uniform(-1e308, 1e308, 2).points == (-1e308, 1e308)
+            assert Mesh.uniform(-1e308, 1e308, 1).points == (-1e308,)
+
     def test_grid_point_one_based(self):
         grid = CartesianGrid([Mesh([0.0, 1.0]), Mesh([5.0, 6.0, 7.0])])
         assert grid.shape == (2, 3)

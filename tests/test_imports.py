@@ -1,7 +1,8 @@
 """Every name a module of ``src/tenslab`` imports is used there or exported,
 every private module-level name it defines is read somewhere in ``src``, no
 function converts an argument with ``int()`` outside ``dense._integers``, and
-no module but ``linalg.py`` reads the right factor ``V`` of an SVD.
+no module but ``linalg.py`` reads the right factor ``V`` of an SVD or the
+numerical-rank cutoff ``RANK_CUTOFF``.
 
 A static check with :mod:`ast`: an import that nothing in the module reads
 and that ``__all__`` does not list is dead.  ``__init__.py`` exists to
@@ -9,7 +10,9 @@ re-export, so it is exempt from the import check.  ``int()`` truncates a
 fractional value, so a caller's integers go through ``dense._integers``,
 which rejects one instead.  Every engine keeps one side of each SVD, the
 ``U`` of :func:`tenslab.linalg.one_sided_svd`, so an ``.V`` read outside
-``linalg.py`` is a two-sided SVD coming back.
+``linalg.py`` is a two-sided SVD coming back.  Every rank decision goes
+through ``linalg._significant``, so a ``RANK_CUTOFF`` read elsewhere is a
+second copy of that rule.
 """
 import ast
 from pathlib import Path
@@ -146,3 +149,27 @@ def test_the_check_sees_a_right_factor_read():
     source = ("res = svd(M)\nres.V = None\n"
               "carry = res.singular_values[:, None] * res.V.T\nU = res.U\n")
     assert right_factor_reads(source) == [3]
+
+
+def rank_cutoff_reads(source: str) -> list[int]:
+    """Line of each read of ``RANK_CUTOFF``: by name, as an attribute or
+    through an import."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Name) and node.id == "RANK_CUTOFF"
+                      and isinstance(node.ctx, ast.Load))
+                  or (isinstance(node, ast.Attribute) and node.attr == "RANK_CUTOFF")
+                  or (isinstance(node, (ast.Import, ast.ImportFrom))
+                      and any(a.name.split(".")[-1] == "RANK_CUTOFF" for a in node.names)))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_reads_the_rank_cutoff(path):
+    assert rank_cutoff_reads(path.read_text()) == []
+
+
+def test_the_check_sees_a_rank_cutoff_read():
+    source = ("from .linalg import RANK_CUTOFF as C\nimport tenslab.linalg as la\n"
+              "keep = s > la.RANK_CUTOFF * s[0]\nRANK_CUTOFF = 1e-12\n"
+              "doc = 'RANK_CUTOFF'\nx = RANK_CUTOFF\n")
+    assert rank_cutoff_reads(source) == [1, 3, 6]

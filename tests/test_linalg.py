@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tenslab import (
     ball_volume,
+    border_rank_demo,
     cp_product,
     cur,
     greedy_cur_pivots,
@@ -15,13 +17,20 @@ from tenslab import (
     khatri_rao,
     kronecker,
     matricize,
+    norm,
     one_sided_svd,
     pseudo_inverse,
+    rank222_classify,
     svd,
     svd_to_tolerance,
     tracy_singh,
     truncated_svd,
+    tt_add,
+    tt_reconstruct,
+    tt_round,
+    tt_svd,
 )
+from tenslab.linalg import RANK_CUTOFF, SVDResult, _significant, _tail_budget
 
 EPS = np.finfo(np.float64).eps
 
@@ -495,3 +504,93 @@ class TestRankRule:
         assert truncation_rank(s, budget=1e9) == 1
         assert truncation_rank(s, max_rank=2, budget=0.0) == 2
         assert truncation_rank(np.zeros(3), budget=0.0) == 1
+
+
+class TestRankCutoff:
+    """One numerical-rank rule, ``linalg._significant``, for every caller."""
+
+    @pytest.mark.parametrize("s_min, kept", [(np.nextafter(RANK_CUTOFF, 1.0), True),
+                                             (RANK_CUTOFF, False),
+                                             (np.nextafter(RANK_CUTOFF, 0.0), False)])
+    def test_boundary_table(self, s_min, kept):
+        s = np.array([1.0, 0.5, s_min])
+        assert _significant(s).tolist() == [True, True, kept]
+        # relative to the largest value, in either order (eigh's is ascending)
+        assert _significant(4.0 * s).tolist() == [True, True, kept]
+        assert _significant(s[::-1]).tolist() == [kept, True, True]
+
+    def test_zero_and_empty_spectra_keep_nothing(self):
+        assert _significant(np.zeros(3)).tolist() == [False] * 3
+        assert _significant(np.zeros(0)).tolist() == []
+        np.testing.assert_array_equal(pseudo_inverse(np.zeros((2, 3))), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("ratio, kept", [(2.0, True), (0.5, False)])
+    def test_callers_decide_alike(self, ratio, kept):
+        # LAPACK returns a sorted diagonal's singular values exactly
+        M = np.diag([1.0, ratio * RANK_CUTOFF])
+        assert svd(M).singular_values[1] == ratio * RANK_CUTOFF
+        expected = 1.0 / (ratio * RANK_CUTOFF) if kept else 0.0
+        np.testing.assert_array_equal(pseudo_inverse(M), np.diag([1.0, expected]))
+        e1, e2 = np.eye(2)
+        xs, ys = [e1, e1, e1], [e2, M[1], e2]
+        if kept:
+            np.testing.assert_allclose(cur(M, [1, 2], [1, 2])[0], M, rtol=0, atol=1e-15)
+            border_rank_demo(xs, ys, 2.0)
+        else:
+            with pytest.raises(ValueError, match="numerically singular"):
+                cur(M, [1, 2], [1, 2])
+            with pytest.raises(ValueError, match="pair 2 is not linearly independent"):
+                border_rank_demo(xs, ys, 2.0)
+
+    def test_no_per_call_threshold(self):
+        assert "rank_cutoff" not in inspect.signature(pseudo_inverse).parameters
+        assert "rank_cutoff" not in inspect.signature(cur).parameters
+        assert "boundary_tol" not in inspect.signature(rank222_classify).parameters
+
+
+class TestTailBudget:
+    """``hosvd``, ``svd_to_tolerance``, ``tt_svd`` and ``tt_round`` split a
+    tolerance with ``linalg._tail_budget`` over d, 1, d-1 and d-1 truncations."""
+
+    TOL = 0.1
+
+    @pytest.fixture
+    def budgets(self, monkeypatch):
+        seen = []
+        truncate_to = SVDResult.truncate_to
+
+        def spy(self, max_rank=None, budget=None):
+            seen.append(budget)
+            return truncate_to(self, max_rank, budget)
+
+        monkeypatch.setattr(SVDResult, "truncate_to", spy)
+        return seen
+
+    def test_the_split(self):
+        assert _tail_budget(None, 2.0, 3) is None
+        assert _tail_budget(0.3, 2.0, 1) == 0.3 ** 2 * 2.0
+        assert _tail_budget(0.3, 2.0, 4) == 0.15 ** 2 * 2.0
+
+    def test_hosvd_splits_over_d(self, rng, budgets):
+        _, spectra = hosvd(rng.standard_normal((4, 5, 6)), [4, 5, 6], self.TOL)
+        assert budgets == [_tail_budget(self.TOL, float(np.sum(s ** 2)), 3) for s in spectra]
+
+    def test_svd_to_tolerance_takes_it_whole(self, rng, budgets):
+        M = rng.standard_normal((5, 7))
+        svd_to_tolerance(M, self.TOL)
+        energy = float(np.sum(svd(M).singular_values ** 2))
+        assert budgets == [_tail_budget(self.TOL, energy, 1)]
+
+    def test_tt_svd_splits_over_d_minus_1(self, rng, budgets):
+        A = rng.standard_normal((3, 4, 3, 5))
+        tt_svd(A, rel_tol=self.TOL)
+        assert budgets == [_tail_budget(self.TOL, norm(A) ** 2, 3)] * 3
+
+    def test_tt_round_splits_over_d_minus_1(self, rng, budgets):
+        T, _ = tt_svd(rng.standard_normal((3, 4, 3, 5)))
+        S = tt_add(T, T)
+        energy = norm(tt_reconstruct(S)) ** 2
+        budgets.clear()
+        tt_round(S, rel_tol=self.TOL)
+        assert len(budgets) == 3 and len(set(budgets)) == 1
+        assert budgets[0] == pytest.approx(_tail_budget(self.TOL, energy, 3), rel=1e-12)
