@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except (OSError, tio.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, DenseCapError, np.linalg.LinAlgError) as exc:
+    except (NumericError, DenseCapError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -85,9 +85,7 @@ def structure_tensor_matvec(m: int, n: int) -> DenseTensor:
     nonzero coefficients are ``B[(i,j), j, i] = 1``, so
     ``apply_bilinear(B, vec(A), x) == A @ x`` for any ``A`` and ``x``.
     """
-    m, n = _integers((m, n), "matrix dimensions")
-    if m < 1 or n < 1:
-        raise ValueError(f"matrix dimensions {m}x{n} must be positive")
+    m, n = _integers((m, n), "matrix dimensions", 1)
     B = np.zeros((m, n, n, m))
     i, j = np.indices((m, n))
     B[i, j, j, i] = 1.0

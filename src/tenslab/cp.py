@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
-from .linalg import _khatri_rao_others, _significant, cp_product
+from .linalg import _independent_rows, _khatri_rao_others, _significant, cp_product
 from .tucker import ALSOptions, ALSTrace, _guarded, hosvd
 
 __all__ = [
@@ -145,9 +145,7 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     identity in the module docstring.
     """
     A = as_tensor(A)
-    r = _integers([r], "rank")[0]
-    if r < 1:
-        raise ValueError(f"rank {r} must be >= 1")
+    r = _integers([r], "rank", 1)[0]
     if np.any(~np.isfinite(A.data)):
         raise ValueError("input tensor contains non-finite entries")
     opts = opts or ALSOptions()
@@ -259,9 +257,13 @@ def rank222_classify(A) -> str:
     """Classify a ``2 x 2 x 2`` tensor as rank 2, rank 3 or boundary.
 
     The hyperdeterminant is quartic in the entries, so the boundary band
-    is ``|delta| <= 1e-10 * max|entry|**4``.
+    is ``|delta| <= 1e-10 * max|entry|**4``.  Both sides scale by ``s**4``,
+    so the test runs on ``A`` divided by the smallest power of two above
+    ``max|entry|``: exact unless an entry turns subnormal, and the band then
+    lies in ``[1e-10 / 16, 1e-10)`` at every scale.
     """
     A = as_tensor(A)
+    A = DenseTensor(np.ldexp(A.data, -np.frexp(norm(A, np.inf))[1]))
     delta = hyperdeterminant_222(A)
     scale = norm(A, np.inf) ** 4
     if delta > _BOUNDARY_TOL * scale:
@@ -277,9 +279,7 @@ def cp_rank_lower_bound(dims: Sequence[int]) -> int:
     Counts parameters of a rank-``r`` model modulo its ``d - 1`` scale
     redundancies: ``ceil(prod(n) / (sum(n) - d + 1))``.
     """
-    dims = _integers(dims, "dims")
-    if any(n < 1 for n in dims):
-        raise ValueError(f"invalid dims {dims}")
+    dims = _integers(dims, "dims", 1)
     d = len(dims)
     return math.ceil(math.prod(dims) / (sum(dims) - d + 1))
 
@@ -302,7 +302,7 @@ def border_rank_demo(xs: Sequence, ys: Sequence, k: float) -> tuple[DenseTensor,
     for i, (x, y) in enumerate(zip(X, Y), start=1):
         if x.shape != y.shape:
             raise ValueError(f"pair {i} has mismatched lengths")
-        if not _significant(np.linalg.svd(np.stack([x, y]), compute_uv=False)).all():
+        if not _independent_rows(np.stack([x, y])):
             raise ValueError(f"pair {i} is not linearly independent")
 
     def outer3(u, v, w):

@@ -11,7 +11,9 @@ Conventions used across the package:
   usual mathematical convention; internally everything is 0-based numpy,
 * multi-indices handed to ``entry``-style accessors are 1-based as well,
 * every mode, index and count a caller passes must be integral (fractions
-  are rejected, never truncated); 1-based positions must lie in ``1..n``,
+  are rejected, never truncated) and in range: 1-based positions in
+  ``1..n``, counts at least 1 (0 for degrees and exponents), all checked
+  by :func:`_integers`,
 * raw ``numpy`` arrays are accepted anywhere a :class:`DenseTensor` is,
   and ``.data`` exposes the underlying (C-contiguous, float64) array.
 
@@ -80,9 +82,9 @@ class DenseTensor:
     @classmethod
     def from_flat(cls, dims: Sequence[int], values: Iterable[float]) -> "DenseTensor":
         """Build a tensor from a dimension list and a flat value list."""
-        dims = _integers(dims, "dims")
-        if not dims or any(n < 1 for n in dims):
-            raise ValueError(f"invalid dims {dims}: need d >= 1 and every n >= 1")
+        dims = _integers(dims, "dims", 1)
+        if not dims:
+            raise ValueError("invalid dims (): need d >= 1")
         vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                           dtype=np.float64)
         if vals.size != math.prod(dims):
@@ -92,7 +94,7 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "DenseTensor":
-        return cls(np.zeros(_integers(dims, "dims")))
+        return cls(np.zeros(_integers(dims, "dims", 1)))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -170,8 +172,13 @@ def check_dense_cap(dims: Sequence[int], cap: int | None = None) -> None:
                             f"raise the cap explicitly to override")
 
 
-def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """``values`` as ints; a fractional or non-finite entry is rejected, never truncated."""
+def _integers(values: Iterable[int], what: str, least: int | None = None,
+              most=None) -> tuple[int, ...]:
+    """``values`` as ints; a fractional or non-finite entry is rejected, never truncated.
+
+    With ``least`` each value must also be at least ``least`` and, where
+    ``most`` gives a bound (one per value, or one int for all), at most it.
+    """
     values = tuple(values)
     try:
         ints = tuple(int(v) for v in values)
@@ -179,19 +186,20 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         ints = None
     if ints != values:
         raise ValueError(f"{what} {values} has a non-integral entry")
+    if least is None:
+        return ints
+    bounds = most if isinstance(most, (tuple, list)) else [most] * len(ints)
+    for i, n in zip(ints, bounds):
+        if i < least or (n is not None and i > n):
+            name = f"{what} {i}" if len(ints) == 1 else f"{what} {ints}: {i}"
+            rule = f"must be >= {least}" if n is None else f"is not in {least}..{n}"
+            raise ValueError(f"{name} {rule}")
     return ints
 
 
 def _one_based(values: Iterable[int], bounds, what: str) -> tuple[int, ...]:
-    """1-based positions as 0-based ints, each checked against ``1..bound``
-    (``bounds`` holds one bound per value, or one int for all of them)."""
-    ints = _integers(values, what)
-    if isinstance(bounds, int):
-        bounds = [bounds] * len(ints)
-    for i, n in zip(ints, bounds):
-        if not 1 <= i <= n:
-            raise ValueError(f"{what} {ints} out of range: {i} is not in 1..{n}")
-    return tuple(i - 1 for i in ints)
+    """1-based positions in ``1..bound`` as 0-based ints (``bounds`` as in :func:`_integers`)."""
+    return tuple(i - 1 for i in _integers(values, what, 1, bounds))
 
 
 def _check_multi_index(index: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:

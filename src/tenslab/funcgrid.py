@@ -63,9 +63,7 @@ class Mesh:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, n: int) -> "Mesh":
-        n = _integers([n], "mesh size")[0]
-        if n < 1:
-            raise ValueError(f"mesh size {n} must be >= 1")
+        n = _integers([n], "mesh size", 1)[0]
         ends = cls((lo, hi))                        # checks the end points
         if n <= 2:
             return cls(ends.points[:n])
@@ -123,11 +121,9 @@ class MonomialPoly:
         arity = len(tuple(terms[0][1]))
         merged: dict[tuple[int, ...], float] = {}
         for coeff, exps in terms:
-            e = _integers(exps, "exponent tuple")
+            e = _integers(exps, "exponent tuple", 0)
             if len(e) != arity:
                 raise ValueError("all exponent lists must have the same length")
-            if any(k < 0 for k in e):
-                raise ValueError(f"negative exponent in {e}")
             merged[e] = merged.get(e, 0.0) + float(coeff)
         kept = [(c, e) for e, c in merged.items() if c != 0.0]
         if not kept:
@@ -233,9 +229,7 @@ def chebyshev_eval(n: int, x):
     Bounded by 1 on ``[-1, 1]``; values outside the interval are allowed
     (polynomial extension) but flagged with a warning.
     """
-    n = _integers([n], "degree")[0]
-    if n < 0:
-        raise ValueError(f"degree {n} must be >= 0")
+    n = _integers([n], "degree", 0)[0]
     arr = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(arr) > 1.0):
         warnings.warn("evaluating a Chebyshev polynomial outside [-1, 1]",
@@ -261,9 +255,7 @@ def _cheb_basis(x: np.ndarray, n: int) -> np.ndarray:
 
 def chebyshev_nodes(m: int) -> np.ndarray:
     """The ``m`` Gauss-Chebyshev nodes ``cos((2k - 1) pi / (2m))``, ascending."""
-    m = _integers([m], "node count")[0]
-    if m < 1:
-        raise ValueError(f"node count {m} must be >= 1")
+    m = _integers([m], "node count", 1)[0]
     k = np.arange(1, m + 1)
     return np.sort(np.cos((2 * k - 1) * np.pi / (2 * m)))
 
@@ -291,9 +283,9 @@ def cheb_project(f: Callable | MonomialPoly, degrees: Sequence[int]) -> DenseTen
     Exact (up to roundoff) whenever ``f`` is a polynomial within the
     degree bounds.  The coefficient tensor has dims ``(degrees[mu] + 1)``.
     """
-    degs = _integers(degrees, "degree bounds")
-    if not degs or any(r < 0 for r in degs):
-        raise ValueError(f"invalid degree bounds {degrees}")
+    degs = _integers(degrees, "degree bounds", 0)
+    if not degs:
+        raise ValueError(f"invalid degree bounds {degrees}: need d >= 1")
     m = 2 * (max(degs) + 1)
     nodes = chebyshev_nodes(m)
     values = discretize(f, CartesianGrid([Mesh(nodes)] * len(degs)))

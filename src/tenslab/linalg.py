@@ -14,7 +14,8 @@ Every truncating engine calls :meth:`SVDResult.truncate_to`, the one place
 that applies :func:`truncation_rank`; tolerances pass :func:`check_tolerance`,
 and ``_tail_budget`` is the one split of a tolerance over ``k`` truncations.
 ``_significant`` is the one numerical-rank rule (``RANK_CUTOFF``), shared
-by the pseudo-inverse, CUR, the CP-ALS Gram solve and the border-rank demo.
+by the pseudo-inverse, the CP-ALS Gram solve and ``_independent_rows``, the
+independence test of CUR and the border-rank demo.
 :func:`cp_product` and the CP-ALS update share one Khatri-Rao chain,
 which alone fixes the row order of every CP unfolding.
 """
@@ -60,6 +61,12 @@ def _significant(s: np.ndarray) -> np.ndarray:
     return s > RANK_CUTOFF * np.max(s, initial=0.0)
 
 
+def _independent_rows(M: np.ndarray) -> bool:
+    """Whether the rows of ``M`` are linearly independent: as many
+    significant singular values as rows."""
+    return np.count_nonzero(_significant(np.linalg.svd(M, compute_uv=False))) == M.shape[0]
+
+
 def _tail_budget(rel_tol: float | None, energy: float, parts: int) -> float | None:
     """Squared tail each of ``parts`` truncations may drop so that together
     they stay within ``rel_tol`` of ``sqrt(energy)``; None without a tolerance."""
@@ -100,8 +107,7 @@ class SVDResult:
 
     def truncate(self, r: int) -> "SVDResult":
         """Leading ``r`` triplets as slices, sharing memory with ``self``."""
-        if not 1 <= r <= self.rank:
-            raise ValueError(f"rank {r} out of range 1..{self.rank}")
+        r = _integers([r], "rank", 1, self.rank)[0]
         return SVDResult(self.U[:, :r], self.singular_values[:r], self.V[:, :r])
 
     def truncate_to(self, max_rank: int | None = None,
@@ -224,6 +230,14 @@ def _check_blocks(splits: Sequence[int], size: int, what: str) -> list[int]:
     return pts
 
 
+def _blockwise_order(a_pts: list[int], b_pts: list[int]) -> np.ndarray:
+    """Kronecker row (or column) indices in block order: blocks of ``A``
+    outside, blocks of ``B`` inside, row-major within each block pair."""
+    idx = np.arange(a_pts[-1] * b_pts[-1]).reshape(a_pts[-1], b_pts[-1])
+    return np.concatenate([idx[a0:a1, b0:b1].reshape(-1)
+                           for a0, a1 in zip(a_pts, a_pts[1:]) for b0, b1 in zip(b_pts, b_pts[1:])])
+
+
 def tracy_singh(A, B, a_row_splits: Sequence[int] = (), a_col_splits: Sequence[int] = (),
                 b_row_splits: Sequence[int] = (), b_col_splits: Sequence[int] = ()) -> np.ndarray:
     """Blockwise Kronecker product of two partitioned matrices.
@@ -239,17 +253,7 @@ def tracy_singh(A, B, a_row_splits: Sequence[int] = (), a_col_splits: Sequence[i
     ac = _check_blocks(a_col_splits, A.shape[1], "A column")
     br = _check_blocks(b_row_splits, B.shape[0], "B row")
     bc = _check_blocks(b_col_splits, B.shape[1], "B column")
-    row_blocks = []
-    for i in range(len(ar) - 1):
-        for k in range(len(br) - 1):
-            col_blocks = []
-            for j in range(len(ac) - 1):
-                for l in range(len(bc) - 1):
-                    Ablk = A[ar[i]:ar[i + 1], ac[j]:ac[j + 1]]
-                    Bblk = B[br[k]:br[k + 1], bc[l]:bc[l + 1]]
-                    col_blocks.append(np.kron(Ablk, Bblk))
-            row_blocks.append(np.hstack(col_blocks))
-    return np.vstack(row_blocks)
+    return kronecker(A, B)[np.ix_(_blockwise_order(ar, br), _blockwise_order(ac, bc))]
 
 
 def _khatri_rao_others(factors: Sequence[np.ndarray], skip: int) -> np.ndarray:
@@ -281,11 +285,12 @@ def cp_product(factors: Sequence, weights=None) -> DenseTensor:
     if w.shape != (r,):
         raise ValueError(f"need {r} weights, got shape {w.shape}")
     dims = tuple(X.shape[0] for X in mats)
-    out = np.zeros((dims[0], math.prod(dims[1:])))
-    for start in range(0, r, max(dims[0], 1)):
+    out = None
+    for start in range(0, r, dims[0]):
         cols = slice(start, start + dims[0])
         block = [X[:, cols] for X in mats]
-        out += (block[0] * w[cols]) @ _khatri_rao_others(block, 0).T
+        part = (block[0] * w[cols]) @ _khatri_rao_others(block, 0).T
+        out = part if out is None else out + part
     return DenseTensor(out.reshape(dims))
 
 
@@ -306,7 +311,7 @@ def cur(A, rows: Sequence[int], cols: Sequence[int]) -> tuple[np.ndarray, np.nda
     if not I:
         raise ValueError("rows and cols are empty index sets; CUR needs rank >= 1")
     Ahat = A[np.ix_(I, J)]
-    if not _significant(np.linalg.svd(Ahat, compute_uv=False)).all():
+    if not _independent_rows(Ahat):
         raise ValueError("intersection block is numerically singular")
     C = A[:, J]
     R = A[I, :]
@@ -320,10 +325,7 @@ def greedy_cur_pivots(A, r: int) -> tuple[list[int], list[int]]:
     eliminates its cross.  A heuristic for near-maximal volume, not an
     optimality guarantee.
     """
-    r = _integers([r], "rank")[0]
-    if r < 1:
-        raise ValueError(f"rank {r} gives empty row and column index sets; "
-                         f"CUR needs rank >= 1")
+    r = _integers([r], "rank", 1)[0]
     E = _as_matrix(A).copy()
     rows, cols = [], []
     for _ in range(r):
@@ -343,9 +345,7 @@ def ball_volume(n: int, p, exact: bool = False):
     ``2**n / n!`` for ``p=1`` and ``2**n`` for ``p=inf``.  With
     ``exact=True`` those two cases return a :class:`fractions.Fraction`.
     """
-    n = _integers([n], "dimension")[0]
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = _integers([n], "dimension", 1)[0]
     if p == 1:
         frac = Fraction(2 ** n, math.factorial(n))
         return frac if exact else float(frac)

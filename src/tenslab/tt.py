@@ -124,11 +124,9 @@ def _check_targets(d: int, ranks, rel_tol) -> Sequence:
         check_tolerance(rel_tol)
     if ranks is None:
         return [None] * (d - 1)
-    ranks = _integers(ranks, "ranks")
+    ranks = _integers(ranks, "ranks", 1)
     if len(ranks) != d - 1:
         raise ValueError(f"need {d - 1} interior ranks, got {len(ranks)}")
-    if any(r < 1 for r in ranks):
-        raise ValueError(f"ranks {ranks} must be >= 1")
     return ranks
 
 
@@ -370,7 +368,7 @@ def additive_tt(values_per_mode: Sequence[Sequence[float]]) -> TTTensor:
 
 def zeros_tt(dims: Sequence[int]) -> TTTensor:
     """All-zero train with every rank equal to 1 (keeps ``tt_add`` total)."""
-    dims = _integers(dims, "dims")
-    if not dims or min(dims) < 1:
-        raise ValueError(f"invalid dims {dims}: need d >= 1 and every n >= 1")
+    dims = _integers(dims, "dims", 1)
+    if not dims:
+        raise ValueError("invalid dims (): need d >= 1")
     return TTTensor([np.zeros((1, n, 1)) for n in dims])

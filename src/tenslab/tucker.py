@@ -17,8 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _integers, _one_based, as_tensor, check_dense_cap, \
-    matricize, norm
+from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
 from .linalg import _tail_budget, check_tolerance, one_sided_svd
 
 __all__ = [
@@ -48,9 +47,8 @@ class ALSOptions:
     init: str = "random"          # "random" | "hosvd"
 
     def __post_init__(self):
-        self.max_sweeps, self.seed = _integers((self.max_sweeps, self.seed), "max_sweeps, seed")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        self.max_sweeps = _integers([self.max_sweeps], "max_sweeps", 1)[0]
+        self.seed = _integers([self.seed], "seed")[0]
         check_tolerance(self.rel_tol)
         if self.init not in ("random", "hosvd"):
             raise ValueError(f"unknown init {self.init!r}; expected 'random' or 'hosvd'")
@@ -174,8 +172,7 @@ def hosvd(A, ranks: Sequence[int], rel_tol: float | None = None
     ``||A - M|| <= rel_tol * ||A||``.
     """
     A = as_tensor(A)
-    # rank r_mu obeys the rule of a 1-based position on mode mu: 1..n_mu
-    ranks = [r + 1 for r in _one_based(ranks, A.dims, "ranks")]
+    ranks = _integers(ranks, "ranks", 1, A.dims)
     if len(ranks) != A.order:
         raise ValueError(f"need {A.order} ranks, got {len(ranks)}")
     if rel_tol is not None:

@@ -455,6 +455,20 @@ class TestRank222:
         code, _, err = run(capsys, "rank222", str(fixtures_dir / "eps.dtent"))
         assert code == 2
 
+    @pytest.mark.parametrize("scale", [1e80, 1e-100])
+    def test_class_at_extreme_scales(self, capsys, tmp_path, rng, scale):
+        # the unscaled delta overflows at 1e80 and underflows at 1e-100
+        A = rng.standard_normal((2, 2, 2))
+        write_dense(DenseTensor(A), tmp_path / "a.dten")
+        write_dense(DenseTensor(A * scale), tmp_path / "s.dten")
+        _, out, _ = run(capsys, "rank222", str(tmp_path / "a.dten"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, scaled, _ = run(capsys, "rank222", str(tmp_path / "s.dten"))
+        assert code in (0, 4)
+        if code == 0:
+            assert scaled.split()[-1] == out.split()[-1]
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, capsys, tmp_path, rng):

@@ -360,6 +360,14 @@ class TestRank222Classify:
                 seen[cls] += 1
         assert seen[RANK2] > 40 and seen[RANK3] > 40
 
+    @given(st.lists(st.floats(0.25, 4.0) | st.floats(-4.0, -0.25) | st.just(0.0),
+                    min_size=8, max_size=8),
+           st.integers(-1000, 1000))
+    def test_invariant_under_scaling_by_a_power_of_two(self, entries, k):
+        # entries stay normal floats after scaling, so 2**k multiplies exactly
+        A = np.reshape(entries, (2, 2, 2))
+        assert rank222_classify(np.ldexp(A, k)) == rank222_classify(A)
+
     def test_invariant_under_mode_permutation(self, rng):
         import itertools
         for _ in range(20):
@@ -430,6 +438,11 @@ class TestBorderRank:
         ys_bad = [2.0 * xs[0], ys[1], ys[2]]
         with pytest.raises(ValueError):
             border_rank_demo(xs, ys_bad, 1.0)
+
+    def test_length_one_pairs_rejected(self):
+        # two vectors of length 1 span at most one dimension
+        with pytest.raises(ValueError, match="pair 1 is not linearly independent"):
+            border_rank_demo([[1.0]] * 3, [[2.0]] * 3, 1.0)
 
 
 class TestDenseCap:

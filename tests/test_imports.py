@@ -2,7 +2,8 @@
 every private module-level name it defines is read somewhere in ``src``, no
 function converts an argument with ``int()`` outside ``dense._integers``, and
 no module but ``linalg.py`` reads the right factor ``V`` of an SVD or the
-numerical-rank cutoff ``RANK_CUTOFF``.
+numerical-rank cutoff ``RANK_CUTOFF``, and no module but ``dense.py`` checks the
+range of an integer that ``dense._integers`` or ``dense._one_based`` returned.
 
 A static check with :mod:`ast`: an import that nothing in the module reads
 and that ``__all__`` does not list is dead.  ``__init__.py`` exists to
@@ -12,7 +13,9 @@ which rejects one instead.  Every engine keeps one side of each SVD, the
 ``U`` of :func:`tenslab.linalg.one_sided_svd`, so an ``.V`` read outside
 ``linalg.py`` is a two-sided SVD coming back.  Every rank decision goes
 through ``linalg._significant``, so a ``RANK_CUTOFF`` read elsewhere is a
-second copy of that rule.
+second copy of that rule.  ``_integers`` checks a caller's integer against
+its least value and any upper bound, so an ``if`` that compares its result
+with a constant and raises is a second copy of the range rule.
 """
 import ast
 from pathlib import Path
@@ -173,3 +176,85 @@ def test_the_check_sees_a_rank_cutoff_read():
               "keep = s > la.RANK_CUTOFF * s[0]\nRANK_CUTOFF = 1e-12\n"
               "doc = 'RANK_CUTOFF'\nx = RANK_CUTOFF\n")
     assert rank_cutoff_reads(source) == [1, 3, 6]
+
+
+INTEGER_RULE = {"_integers", "_one_based"}
+
+
+def hand_written_range_checks(source: str) -> list[int]:
+    """Line of each ``if`` that compares a value taken from ``_integers`` or
+    ``_one_based`` with a numeric constant and raises in its body.
+
+    Within a function, a value is taken from the rule if it is such a call,
+    a name or attribute assigned from one, or a loop or comprehension
+    variable over such a name.
+    """
+    def rule_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in INTEGER_RULE)
+
+    def numeric(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        taken = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign) and any(rule_call(n) for n in ast.walk(node.value)):
+                for target in node.targets:
+                    elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+                    taken |= {ast.unparse(e) for e in elts}
+        for node in nodes:
+            if isinstance(node, (ast.comprehension, ast.For)) and ast.unparse(node.iter) in taken:
+                taken |= {t.id for t in ast.walk(node.target) if isinstance(t, ast.Name)}
+
+        def from_rule(node):
+            return any(rule_call(n) or (isinstance(n, (ast.Name, ast.Attribute))
+                                        and ast.unparse(n) in taken) for n in ast.walk(node))
+
+        for node in nodes:
+            if not isinstance(node, ast.If) or not any(
+                    isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt)):
+                continue
+            for cmp in (n for n in ast.walk(node.test) if isinstance(n, ast.Compare)):
+                operands = [cmp.left, *cmp.comparators]
+                if any(map(numeric, operands)) and any(map(from_rule, operands)):
+                    found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dense.py"],
+                         ids=lambda p: p.name)
+def test_only_dense_checks_an_integer_range(path):
+    assert hand_written_range_checks(path.read_text()) == []
+
+
+def test_the_check_sees_a_hand_written_range_check():
+    source = ("def f(n, dims, opts, args):\n"
+              "    n = _integers([n], 'n')[0]\n"
+              "    if n < 1:\n"
+              "        raise ValueError(n)\n"
+              "    dims = _integers(dims, 'dims')\n"
+              "    if not dims or any(k < 1 for k in dims):\n"
+              "        raise ValueError(dims)\n"
+              "    opts.k, seed = _integers((opts.k, 0), 'k, seed')\n"
+              "    if opts.k < -1:\n"
+              "        raise ValueError(opts.k)\n"
+              "    if _one_based([n], 3, 'n')[0] >= 2.5:\n"
+              "        raise ValueError(n)\n"
+              "    for k in dims:\n"
+              "        if k > 0:\n"
+              "            raise ValueError(k)\n"
+              "    if n <= 2:\n"
+              "        return None\n"
+              "    if len(dims) != n - 1 or args.max_sweeps < 1:\n"
+              "        raise ValueError(dims)\n"
+              "def g(n):\n"
+              "    if n < 1:\n"
+              "        raise ValueError(n)\n")
+    assert hand_written_range_checks(source) == [3, 6, 9, 11, 14]

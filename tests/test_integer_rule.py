@@ -2,8 +2,9 @@
 
 Modes, indices, pivots and counts must be integral: a fractional or
 non-finite value raises a ``ValueError`` that names it, never truncates.
-1-based positions must lie in ``1..n``.  Integral floats and numpy ints
-are accepted and act exactly like the int.
+1-based positions must lie in ``1..n``; counts are at least 1, degrees and
+exponents at least 0.  Integral floats and numpy ints are accepted and act
+exactly like the int.
 """
 import math
 import re
@@ -16,8 +17,9 @@ from tenslab.contract import contract, contract_sequence, structure_tensor_matve
 from tenslab.cp import cp_als, cp_rank_lower_bound
 from tenslab.dense import (DenseTensor, Permutation, _one_based, check_dense_cap, matricize,
                            matricize_general, permute_modes, reshape_tensor, slice_tensor)
-from tenslab.funcgrid import Mesh, MonomialPoly, cheb_project, chebyshev_eval, chebyshev_nodes
-from tenslab.linalg import ball_volume, cur, greedy_cur_pivots, tracy_singh
+from tenslab.funcgrid import (CartesianGrid, Mesh, MonomialPoly, cheb_project, chebyshev_eval,
+                              chebyshev_nodes)
+from tenslab.linalg import ball_volume, cur, greedy_cur_pivots, tracy_singh, truncated_svd
 from tenslab.tt import additive_tt, tt_entry, tt_marginal, tt_round, tt_svd, tt_to_cp, zeros_tt
 from tenslab.tucker import ALSOptions, hosvd
 
@@ -26,6 +28,7 @@ T = additive_tt([np.arange(2.0), np.arange(3.0), np.arange(4.0)])
 T2 = additive_tt([np.arange(2.0), np.arange(3.0)])
 M = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
 P = MonomialPoly([(1.0, (2,)), (1.0, (0,))])
+G = CartesianGrid([[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75]])
 
 # name, call with the value under test, one integer out of range (None: no bound).
 # Each call gives a valid result for the value 2.
@@ -45,6 +48,7 @@ ENTRY_POINTS = [
     ("tt_marginal", lambda v: tt_marginal(T, v), 4),
     ("cur:rows", lambda v: cur(M, [1, v], [1, 2])[0], 4),
     ("cur:cols", lambda v: cur(M, [1, 2], [1, v])[0], 4),
+    ("CartesianGrid.point", lambda v: G.point((3, v)), 5),
     # counts
     ("tt_svd", lambda v: tt_svd(A, [v, 2])[0].cores, 0),
     ("tt_round", lambda v: tt_round(T, [v, 2]).cores, 0),
@@ -55,12 +59,14 @@ ENTRY_POINTS = [
     ("cheb_project", lambda v: cheb_project(P, [v]), -1),
     ("chebyshev_eval", lambda v: chebyshev_eval(v, 0.5), -1),
     ("chebyshev_nodes", lambda v: chebyshev_nodes(v), 0),
+    ("MonomialPoly", lambda v: MonomialPoly([(1.0, (v, 1))]).terms, -1),
     ("ball_volume", lambda v: ball_volume(v, 2), 0),
     ("cp_rank_lower_bound", lambda v: cp_rank_lower_bound([v, 2, 2]), 0),
     ("structure_tensor_matvec", lambda v: structure_tensor_matvec(v, 3), 0),
     ("tracy_singh", lambda v: tracy_singh(M, M, a_row_splits=[v]), 4),
     ("Mesh.uniform", lambda v: Mesh.uniform(0.0, 1.0, v), 0),
     ("greedy_cur_pivots", lambda v: greedy_cur_pivots(M, v), 4),
+    ("truncated_svd", lambda v: truncated_svd(M, v).U, 4),
     ("tt_to_cp", lambda v: tt_to_cp(T2, v).weights, 1),
     ("check_dense_cap", lambda v: check_dense_cap((2,), v), 1),
     ("cp_als", lambda v: cp_als(A, v, ALSOptions(max_sweeps=2))[0].weights, 0),

@@ -352,6 +352,19 @@ class TestTracySingh:
             tracy_singh(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
                         a_row_splits=[5])
 
+    @given(st.lists(st.integers(1, 5), min_size=4, max_size=4), st.data())
+    def test_equals_the_loop_over_block_pairs(self, shape, data):
+        splits = [sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+                  for n in shape]
+        rng = np.random.default_rng(shape)
+        A, B = rng.standard_normal(shape[:2]), rng.standard_normal(shape[2:])
+        ar, ac, br, bc = ([0, *s, n] for s, n in zip(splits, shape))
+        ref = np.block([[np.kron(A[ar[i]:ar[i + 1], ac[j]:ac[j + 1]],
+                                 B[br[k]:br[k + 1], bc[l]:bc[l + 1]])
+                         for j in range(len(ac) - 1) for l in range(len(bc) - 1)]
+                        for i in range(len(ar) - 1) for k in range(len(br) - 1)])
+        np.testing.assert_array_equal(tracy_singh(A, B, *splits), ref)
+
 
 class TestCPProduct:
     def test_two_modes_is_xyt(self, rng):
@@ -447,8 +460,7 @@ class TestCUR:
         with pytest.raises(ValueError, match="empty index sets; CUR needs rank >= 1"):
             cur(A, [], [])
         for r in (0, -1):
-            with pytest.raises(ValueError, match=f"rank {r} gives empty row and column "
-                                                 f"index sets; CUR needs rank >= 1"):
+            with pytest.raises(ValueError, match=f"rank {r} must be >= 1"):
                 greedy_cur_pivots(A, r)
 
 
