@@ -232,9 +232,10 @@ def best_rank_one(A, opts: ALSOptions | None = None) -> tuple[float, list[np.nda
 def _slices_222(A: DenseTensor) -> tuple[float, ...]:
     if A.dims != (2, 2, 2):
         raise ValueError(f"expected a 2x2x2 tensor, got dims {A.dims}")
-    T = A.data
-    a, b, c, d = T[0, 0, 0], T[0, 1, 0], T[1, 0, 0], T[1, 1, 0]
-    ap, bp, cp_, dp = T[0, 0, 1], T[0, 1, 1], T[1, 0, 1], T[1, 1, 1]
+    # Python floats: the same IEEE arithmetic as numpy's, but an overflow
+    # to inf or nan passes silently instead of warning
+    (a, b), (c, d) = A.data[:, :, 0].tolist()
+    (ap, bp), (cp_, dp) = A.data[:, :, 1].tolist()
     return a, b, c, d, ap, bp, cp_, dp
 
 

@@ -82,9 +82,7 @@ class DenseTensor:
     @classmethod
     def from_flat(cls, dims: Sequence[int], values: Iterable[float]) -> "DenseTensor":
         """Build a tensor from a dimension list and a flat value list."""
-        dims = _integers(dims, "dims", 1)
-        if not dims:
-            raise ValueError("invalid dims (): need d >= 1")
+        dims = _dims(dims)
         vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                           dtype=np.float64)
         if vals.size != math.prod(dims):
@@ -94,7 +92,7 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "DenseTensor":
-        return cls(np.zeros(_integers(dims, "dims", 1)))
+        return cls(np.zeros(_dims(dims)))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -152,16 +150,17 @@ class DenseCapError(ValueError):
 
 
 def dense_cap(override: int | None = None) -> int:
-    """Densification guard: max entries a reconstruction may produce."""
+    """Densification guard: max entries a reconstruction may produce (>= 1)."""
     if override is not None:
-        return _integers([override], "dense cap")[0]
+        return _integers([override], "dense cap", 1)[0]
     raw = os.environ.get("TENSLAB_DENSE_CAP")
     if raw is None:
         return DEFAULT_DENSE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"TENSLAB_DENSE_CAP must be an integer, got {raw!r}") from None
+    return _integers([cap], "TENSLAB_DENSE_CAP", 1)[0]
 
 
 def check_dense_cap(dims: Sequence[int], cap: int | None = None) -> None:
@@ -195,6 +194,14 @@ def _integers(values: Iterable[int], what: str, least: int | None = None,
             rule = f"must be >= {least}" if n is None else f"is not in {least}..{n}"
             raise ValueError(f"{name} {rule}")
     return ints
+
+
+def _dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Mode sizes of a new tensor: at least one mode, each at least 1."""
+    dims = _integers(dims, "dims", 1)
+    if not dims:
+        raise ValueError("invalid dims (): need d >= 1")
+    return dims
 
 
 def _one_based(values: Iterable[int], bounds, what: str) -> tuple[int, ...]:

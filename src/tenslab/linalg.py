@@ -8,8 +8,13 @@ reduction over contiguous columns) and fixes the sign ambiguity in place
 so that goldens are reproducible; it copies no factor.
 TT-SVD, HOSVD and HOOI keep one side of each unfolding's SVD and get it
 from :func:`one_sided_svd`, which reduces a tall matrix to its small
-triangle by Householder QR first, so no engine forms the long factor it
-would drop; the sign convention lands on the factor the engine keeps.
+triangle by QR first, so no engine forms the long factor it would drop;
+the sign convention lands on the factor the engine keeps.  ``_qr`` is the
+one tall QR, of ``one_sided_svd`` and ``tt_round``'s sweep: an m x n
+``L`` (m > n) goes by CholeskyQR2 (Fukaya et al., ScalA 2014) when
+``8 kappa(L) sqrt((m n + n (n + 1)) u) <= 1``, ``u = 2**-53``, and both
+Choleskys succeed, the sufficient condition under which it is as backward
+stable as Householder (Yamamoto et al., ETNA 44, 2015); else by Householder.
 Every truncating engine calls :meth:`SVDResult.truncate_to`, the one place
 that applies :func:`truncation_rank`; tolerances pass :func:`check_tolerance`,
 and ``_tail_budget`` is the one split of a tolerance over ``k`` truncations.
@@ -142,22 +147,51 @@ def svd(M) -> SVDResult:
     return SVDResult(U, s, V)
 
 
+def _qr(L: np.ndarray, want_q: bool = False):
+    """``R``, or ``(Q, R)`` with ``want_q``, of a thin QR of ``L`` by the
+    route rule of the module docstring."""
+    m, n = L.shape
+    if m > n:
+        # kappa**2 = lam[-1] / lam[0] from the Gram, not an SVD, so the only SVD
+        # an engine makes stays that of its small triangle; above u**-1/2 the
+        # estimate is inaccurate but still fails the bound.  A non-finite Gram
+        # (OpenBLAS's Cholesky would pass its nan through) or a subnormal
+        # lam[0] (fewer digits than the bound allows for) goes to Householder.
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = L.T @ L
+        lam = np.linalg.eigvalsh(G) if np.isfinite(G).all() else [0.0]
+        slack = 64 * (m * n + n * (n + 1)) * 2.0 ** -53    # 1 / (kappa**2 at the bound)
+        if lam[0] >= 2.0 ** -1022 and slack * lam[-1] <= lam[0]:
+            try:
+                R1 = np.linalg.cholesky(G).T
+                Q = L @ np.linalg.inv(R1)
+                R2 = np.linalg.cholesky(Q.T @ Q).T
+                return (Q @ np.linalg.inv(R2), R2 @ R1) if want_q else R2 @ R1
+            except np.linalg.LinAlgError:
+                pass
+    return np.linalg.qr(L) if want_q else np.linalg.qr(L, mode="r")
+
+
 def one_sided_svd(L) -> SVDResult:
     """SVD of ``L.T`` that never forms ``L``'s left factor.
 
     ``U`` holds ``L``'s right singular vectors, under the sign convention
     of :func:`svd`, and ``singular_values`` are ``L``'s.  A tall ``L`` is
-    first reduced to its ``k x k`` triangle ``R`` by Householder QR with no
-    ``Q`` formed (Chan, ACM TOMS 1982), and ``svd(R.T)`` is returned; its
-    ``V`` is ``Q.T`` times ``L``'s left singular vectors.  Otherwise this
-    is ``svd(L.T)``, whose ``V`` is ``L``'s left factor.  Both routes are
+    first reduced to its ``k x k`` triangle ``R`` with no ``Q`` kept (Chan,
+    ACM TOMS 1982), and ``svd(R.T)`` is returned; its ``V`` is ``Q.T``
+    times ``L``'s left singular vectors.  ``R`` comes from CholeskyQR2
+    (Fukaya et al., ScalA 2014) when ``8 kappa(L) sqrt((m n + n (n + 1)) u)
+    <= 1``, ``u = 2**-53``, and both Choleskys succeed, the sufficient
+    condition for Householder's backward stability (Yamamoto et al., ETNA
+    44, 2015), else from Householder QR.  A square or wide ``L`` gives
+    ``svd(L.T)``, whose ``V`` is ``L``'s left factor.  Every route is
     backward stable: the singular values carry gesdd's ``O(eps * s_1)``
     absolute error.
     """
     # an ndarray of any layout reaches QR uncopied, a transposed view too
     L = L if isinstance(L, np.ndarray) and L.ndim == 2 else _as_matrix(L)
     if L.shape[0] > L.shape[1]:
-        return svd(np.linalg.qr(L, mode="r").T)
+        return svd(_qr(L).T)
     return svd(L.T)
 
 

@@ -11,9 +11,12 @@ grew) share one left-to-right step: keep the left singular vectors ``U``
 of the unfolding ``M``, from ``one_sided_svd(M.T)`` truncated by
 ``SVDResult.truncate_to``, as the core and carry ``U.T @ M``.  A tolerance
 gives each of the ``d-1`` steps the tail budget ``rel_tol * ||A|| /
-sqrt(d-1)`` (Oseledets, SISC 2011).  ``tt_add``, ``cp_to_tt`` and
-``additive_tt`` build every core by their interior rule and then close
-the boundary ranks to 1, so no order is a special case.
+sqrt(d-1)`` (Oseledets, SISC 2011).  ``tt_round`` first makes every core
+but the first row-orthonormal by ``linalg``'s tall QR: CholeskyQR2 (Fukaya
+et al., ScalA 2014) where ``8 kappa sqrt((m n + n (n + 1)) u) <= 1``
+(Yamamoto et al., ETNA 44, 2015), else Householder.  ``tt_add``,
+``cp_to_tt`` and ``additive_tt`` build every core by their interior rule
+and then close the boundary ranks to 1, so no order is a special case.
 """
 from __future__ import annotations
 
@@ -23,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _check_multi_index, _integers, _one_based, as_tensor, \
+from .dense import DenseTensor, _check_multi_index, _dims, _integers, _one_based, as_tensor, \
     check_dense_cap, norm
-from .linalg import _tail_budget, check_tolerance, one_sided_svd
+from .linalg import _qr, _tail_budget, check_tolerance, one_sided_svd
 from .cp import CPDecomposition
 
 __all__ = [
@@ -246,10 +249,12 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
              rel_tol: float | None = None) -> TTTensor:
     """Recompress a train to lower ranks without densifying.
 
-    Two sweeps: right-to-left orthogonalization (LQ on the unfolded
-    cores), then the left-to-right truncation step of ``tt_svd`` on each
-    core, its carry multiplied into the next core.  Rounding a train back
-    to (at least) its true ranks preserves the entries up to roundoff.
+    Two sweeps: right-to-left orthogonalization (LQ on the unfolded cores,
+    by CholeskyQR2 (Fukaya et al., ScalA 2014) where ``8 kappa sqrt((m n +
+    n (n + 1)) 2**-53) <= 1`` (Yamamoto et al., ETNA 44, 2015), else
+    Householder), then the left-to-right truncation step of ``tt_svd`` on
+    each core, its carry multiplied into the next core.  Rounding a train
+    back to (at least) its true ranks preserves the entries up to roundoff.
     """
     d = T.order
     ranks = _check_targets(d, ranks, rel_tol)
@@ -258,7 +263,7 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
     for mu in range(d - 1, 0, -1):
         r_prev, n, r = cores[mu].shape
         # the unfolding is R.T @ Q.T, and Q.T has orthonormal rows
-        Q, R = np.linalg.qr(cores[mu].reshape(r_prev, n * r).T)
+        Q, R = _qr(cores[mu].reshape(r_prev, n * r).T, want_q=True)
         cores[mu] = Q.T.reshape(-1, n, r)
         cores[mu - 1] = np.tensordot(cores[mu - 1], R.T, axes=(2, 0))
 
@@ -368,7 +373,4 @@ def additive_tt(values_per_mode: Sequence[Sequence[float]]) -> TTTensor:
 
 def zeros_tt(dims: Sequence[int]) -> TTTensor:
     """All-zero train with every rank equal to 1 (keeps ``tt_add`` total)."""
-    dims = _integers(dims, "dims", 1)
-    if not dims:
-        raise ValueError("invalid dims (): need d >= 1")
-    return TTTensor([np.zeros((1, n, 1)) for n in dims])
+    return TTTensor([np.zeros((1, n, 1)) for n in _dims(dims)])

@@ -258,6 +258,23 @@ class TestReconstructAndError:
         assert code == 4
         assert "cap" in err
 
+    @pytest.mark.parametrize("flag, variable", [("0", None), ("-3", None), (None, "0"),
+                                                (None, "-3")])
+    def test_cap_below_one_is_a_usage_error(self, capsys, tmp_path, monkeypatch, flag,
+                                            variable):
+        p = tmp_path / "z.tten"
+        write_tt(zeros_tt((2, 2)), p)
+        argv = ["reconstruct", str(p), "--out", str(tmp_path / "z.dten")]
+        if flag is not None:
+            argv = ["--dense-cap", flag, *argv]
+        if variable is not None:
+            monkeypatch.setenv("TENSLAB_DENSE_CAP", variable)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        name = "dense cap" if flag is not None else "TENSLAB_DENSE_CAP"
+        assert f"{name} {flag or variable} must be >= 1" in err
+        assert not (tmp_path / "z.dten").exists()
+
     @pytest.mark.parametrize("value", ["1e8", "lots", "10.5"])
     def test_non_integer_dense_cap_variable_is_a_usage_error(self, capsys, tmp_path,
                                                              monkeypatch, value):
@@ -468,6 +485,18 @@ class TestRank222:
         assert code in (0, 4)
         if code == 0:
             assert scaled.split()[-1] == out.split()[-1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_delta_prints_no_warning(self, capsys, tmp_path, rng):
+        A = rng.standard_normal((2, 2, 2))
+        write_dense(DenseTensor(A), tmp_path / "a.dten")
+        write_dense(DenseTensor(A * 1e80), tmp_path / "s.dten")
+        _, out, _ = run(capsys, "rank222", str(tmp_path / "a.dten"))
+        code, scaled, err = run(capsys, "rank222", str(tmp_path / "s.dten"))
+        assert (code, err) == (0, "")
+        delta, cls = scaled.split()
+        assert delta in ("delta=inf", "delta=-inf", "delta=nan")
+        assert cls == out.split()[-1]
 
 
 class TestDeterminism:

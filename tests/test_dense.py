@@ -22,7 +22,9 @@ from tenslab import (
     tensor_product,
     vectorize,
     wedge,
+    zeros_tt,
 )
+from tenslab.dense import DenseCapError, check_dense_cap, dense_cap
 
 
 class TestDenseTensor:
@@ -44,6 +46,35 @@ class TestDenseTensor:
             DenseTensor.from_flat((2, 2), [1, 2, 3])
         with pytest.raises(ValueError):
             DenseTensor.from_flat((), [])
+
+    @pytest.mark.parametrize("make", [lambda: DenseTensor.zeros([]),
+                                      lambda: DenseTensor.from_flat([], []),
+                                      lambda: zeros_tt([])],
+                             ids=["DenseTensor.zeros", "DenseTensor.from_flat", "zeros_tt"])
+    def test_empty_dims_rejected_alike(self, make):
+        # np.zeros(()) is 0-d, which DenseTensor would take as one entry
+        with pytest.raises(ValueError, match=r"^invalid dims \(\): need d >= 1$"):
+            make()
+
+
+class TestDenseCapRange:
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_rejected_by_name(self, cap):
+        with pytest.raises(ValueError, match=f"^dense cap {cap} must be >= 1$") as info:
+            check_dense_cap((2,), cap)
+        assert not isinstance(info.value, DenseCapError)
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_variable_below_one_is_rejected_by_name(self, monkeypatch, raw):
+        monkeypatch.setenv("TENSLAB_DENSE_CAP", raw)
+        with pytest.raises(ValueError, match=f"^TENSLAB_DENSE_CAP {raw} must be >= 1$"):
+            dense_cap()
+        assert dense_cap(5) == 5
+
+    def test_cap_of_one_still_guards(self):
+        check_dense_cap((1, 1), 1)
+        with pytest.raises(DenseCapError, match="cap 1"):
+            check_dense_cap((2,), 1)
 
 
 class TestPermutation:

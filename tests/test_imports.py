@@ -2,8 +2,9 @@
 every private module-level name it defines is read somewhere in ``src``, no
 function converts an argument with ``int()`` outside ``dense._integers``, and
 no module but ``linalg.py`` reads the right factor ``V`` of an SVD or the
-numerical-rank cutoff ``RANK_CUTOFF``, and no module but ``dense.py`` checks the
-range of an integer that ``dense._integers`` or ``dense._one_based`` returned.
+numerical-rank cutoff ``RANK_CUTOFF`` or calls numpy's ``qr`` or ``cholesky``,
+and no module but ``dense.py`` checks the range of an integer that
+``dense._integers`` or ``dense._one_based`` returned.
 
 A static check with :mod:`ast`: an import that nothing in the module reads
 and that ``__all__`` does not list is dead.  ``__init__.py`` exists to
@@ -13,9 +14,12 @@ which rejects one instead.  Every engine keeps one side of each SVD, the
 ``U`` of :func:`tenslab.linalg.one_sided_svd`, so an ``.V`` read outside
 ``linalg.py`` is a two-sided SVD coming back.  Every rank decision goes
 through ``linalg._significant``, so a ``RANK_CUTOFF`` read elsewhere is a
-second copy of that rule.  ``_integers`` checks a caller's integer against
-its least value and any upper bound, so an ``if`` that compares its result
-with a constant and raises is a second copy of the range rule.
+second copy of that rule.  Every tall factorization goes through
+``linalg._qr``, which picks CholeskyQR2 or Householder by one bound, so a
+``qr`` or ``cholesky`` elsewhere is a factorization that skips the rule.
+``_integers`` checks a caller's integer against its least value and any
+upper bound, so an ``if`` that compares its result with a constant and
+raises is a second copy of the range rule.
 """
 import ast
 from pathlib import Path
@@ -176,6 +180,31 @@ def test_the_check_sees_a_rank_cutoff_read():
               "keep = s > la.RANK_CUTOFF * s[0]\nRANK_CUTOFF = 1e-12\n"
               "doc = 'RANK_CUTOFF'\nx = RANK_CUTOFF\n")
     assert rank_cutoff_reads(source) == [1, 3, 6]
+
+
+FACTORIZATIONS = {"qr", "cholesky"}
+
+
+def factorization_calls(source: str) -> list[int]:
+    """Line of each ``qr`` or ``cholesky`` read as an attribute (``np.linalg.qr``)
+    or imported by name (``from numpy.linalg import qr``)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS)
+                  or (isinstance(node, ast.ImportFrom)
+                      and any(a.name in FACTORIZATIONS for a in node.names)))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_factors_a_tall_matrix(path):
+    assert factorization_calls(path.read_text()) == []
+
+
+def test_the_check_sees_a_factorization_call():
+    source = ("import numpy as np\nfrom numpy.linalg import qr as householder, norm\n"
+              "Q, R = np.linalg.qr(M.T)\nC = numpy.linalg.cholesky(G).T\n"
+              "doc = 'np.linalg.qr'\nR = _qr(M)\nn = np.linalg.norm(M)\n")
+    assert factorization_calls(source) == [2, 3, 4]
 
 
 INTEGER_RULE = {"_integers", "_one_based"}

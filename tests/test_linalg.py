@@ -26,11 +26,14 @@ from tenslab import (
     tracy_singh,
     truncated_svd,
     tt_add,
+    tt_entry,
+    tt_hadamard,
     tt_reconstruct,
     tt_round,
     tt_svd,
 )
-from tenslab.linalg import RANK_CUTOFF, SVDResult, _significant, _tail_budget
+from tenslab.linalg import RANK_CUTOFF, SVDResult, _qr, _significant, _tail_budget
+from tenslab.tt import TTTensor
 
 EPS = np.finfo(np.float64).eps
 
@@ -219,6 +222,124 @@ class TestOneSidedSVD:
         # unfoldings; HOSVD its 4096 x 64 unfolding
         L = graded(rng, *shape, cond)
         check_one_sided(L, one_sided_svd(L))
+
+
+U_ROUND = 2.0 ** -53
+
+
+def kappa_max(m, n):
+    """Largest condition number of an ``m x n`` matrix that the CholeskyQR2
+    bound ``8 kappa sqrt((m n + n (n + 1)) u) <= 1`` admits."""
+    return 1.0 / (8.0 * math.sqrt((m * n + n * (n + 1)) * U_ROUND))
+
+
+def routed(L, want_q=False):
+    """``_qr(L, want_q)`` and the route it took: ``"cholesky-qr2"`` (two
+    Choleskys, no Householder QR) or ``"householder"``."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("cholesky", "qr"):
+            real = getattr(np.linalg, name)
+            mp.setattr(np.linalg, name, lambda *a, _real=real, _name=name, **k:
+                       calls.append(_name) or _real(*a, **k))
+        out = _qr(L, want_q)
+    if "qr" in calls:
+        return out, "householder"
+    assert calls == ["cholesky", "cholesky"]
+    return out, "cholesky-qr2"
+
+
+class TestTallQR:
+    """``_qr`` takes CholeskyQR2 exactly where the ETNA bound admits it and
+    Householder QR everywhere else, and both routes give the same factors
+    to roundoff."""
+
+    @pytest.mark.parametrize("shape", [(300, 3), (2000, 10), (4096, 64), (1024, 64)])
+    @pytest.mark.parametrize("factor, route", [(0.9, "cholesky-qr2"), (1.1, "householder")])
+    def test_graded_just_inside_and_outside_the_bound(self, rng, shape, factor, route):
+        m, n = shape
+        kappa = factor * kappa_max(m, n)
+        L = graded(rng, m, n, kappa)
+        R, took = routed(L)
+        assert took == route
+        # the Householder route's own error scale, u * s_1 = u * kappa * s_n;
+        # measured up to 9 u s_1 on these shapes
+        s = np.linalg.svd(R, compute_uv=False)
+        s_house = np.linalg.svd(np.linalg.qr(L, mode="r"), compute_uv=False)
+        np.testing.assert_allclose(s, s_house, rtol=0, atol=64 * U_ROUND * s_house[0])
+        (Q, R), took = routed(L, want_q=True)
+        assert took == route
+        np.testing.assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=64 * U_ROUND)
+        assert np.linalg.norm(Q @ R - L) <= 64 * U_ROUND * np.linalg.norm(L)
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.integers(2, 80), n=st.integers(1, 12), rank=st.integers(0, 12),
+           scale=st.sampled_from([1.0, 1e-160, 1e-150, 1e150, 1e160]),
+           seed=st.integers(0, 2 ** 16))
+    @example(m=40, n=6, rank=6, scale=1.0, seed=0)      # well conditioned: CholeskyQR2
+    @example(m=40, n=6, rank=3, scale=1.0, seed=0)      # rank-deficient
+    @example(m=40, n=6, rank=0, scale=1.0, seed=0)      # all zero
+    @example(m=9, n=8, rank=8, scale=1e160, seed=0)     # the Gram overflows
+    @example(m=9, n=8, rank=8, scale=1e-160, seed=0)    # the Gram underflows
+    @example(m=50, n=2, rank=1, scale=1e-160, seed=0)   # subnormal Gram, rank-deficient
+    @example(m=20, n=3, rank=2, scale=1e-160, seed=1)
+    def test_one_sided_svd_on_tall_matrices_matches_lapack(self, m, n, rank, scale, seed):
+        n, rng = min(n, m - 1), np.random.default_rng(seed)
+        rank = min(rank, n)
+        L = scale * (rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)))
+        check_one_sided(L, one_sided_svd(L))
+        # rank-deficient, zero, far-outside and overflowing inputs fall back
+        _, took = routed(L)
+        s = np.linalg.svd(L, compute_uv=False)
+        kappa = s[0] / s[-1] if s[-1] > 0 else math.inf
+        if rank < n or kappa > 2 * kappa_max(m, n) or scale > 1e155:
+            assert took == "householder"
+        elif kappa < kappa_max(m, n) / 2 and scale == 1.0:
+            assert took == "cholesky-qr2"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_goes_by_householder_unwarned(self, rng, n, bad):
+        L = rng.standard_normal((20, n))
+        L[3, 0] = bad
+        _, took = routed(L)
+        assert took == "householder"
+
+    def test_square_and_wide_go_by_householder(self, rng):
+        for shape in [(5, 5), (3, 7)]:
+            R, took = routed(rng.standard_normal(shape))
+            assert took == "householder" and R.shape == (min(shape), shape[1])
+
+    def test_tt_round_sweep_leaves_row_orthonormal_cores(self, rng, monkeypatch):
+        # tt-arith's shapes: the Hadamard product of two rank-8 trains of mode
+        # size 16 has 64 x 16 x 64 cores, whose unfoldings reach _qr as 1024 x 64
+        chain = (1, 8, 8, 8, 8, 1)
+        trains = [TTTensor([np.linalg.qr(rng.standard_normal((chain[mu] * 16, chain[mu + 1])))[0]
+                            .reshape(chain[mu], 16, chain[mu + 1]) for mu in range(5)])
+                  for _ in range(2)]
+        H = tt_hadamard(*trains)
+        swept = []
+
+        def spy(L, want_q=False):
+            (Q, R), took = routed(L, want_q)
+            swept.append((L.shape, took, Q))
+            return Q, R
+
+        monkeypatch.setattr("tenslab.tt._qr", spy)
+        rounded = tt_round(H, ranks=H.ranks)
+        # right to left: the last core is wide, and its 16 x 64 factor cuts
+        # the next core's rank from 64 to 16
+        assert [(shape, took) for shape, took, _ in swept] == [
+            ((16, 64), "householder"), ((256, 64), "cholesky-qr2"),
+            ((1024, 64), "cholesky-qr2"), ((1024, 64), "cholesky-qr2")]
+        for _, _, Q in swept:
+            # every core but the first becomes Q.T, whose rows are orthonormal
+            np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-13)
+        probes = rng.integers(1, 17, size=(20, 5)).tolist()
+        want = np.array([tt_entry(H, index) for index in probes])
+        got = np.array([tt_entry(rounded, index) for index in probes])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestTruncation:
