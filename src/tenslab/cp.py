@@ -7,11 +7,11 @@ It records the objective after every block update without densifying
 the model: with ``U`` the Khatri-Rao product of the other factors,
 ``G = U.T U``, ``rhs = A_(mu).T U`` and the unnormalized update ``Y``,
 ``||A - M||**2 = ||A||**2 - 2 sum(Y * rhs) + sum((Y.T Y) * G)``
-(Kolda & Bader, SIAM Review 2009, section 3.4).  The roundoff guard
-and the stop rule are those of :class:`tenslab.tucker.ALSTrace`, which
-:func:`cp_als` returns.  Rank diagnostics for the ``2 x 2 x 2`` case
-(hyperdeterminant sign), a dimension-count lower bound and the classic
-border-rank demonstrator live here as well.
+(Kolda & Bader, SIAM Review 2009, section 3.4).  The input check, the
+roundoff guard and the stop rule are those of the sweep driver in
+:mod:`tenslab.tucker`, which both solvers run.  Rank diagnostics for the
+``2 x 2 x 2`` case (hyperdeterminant sign), a dimension-count lower bound
+and the classic border-rank demonstrator live here as well.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
 from .linalg import _independent_rows, _khatri_rao_others, _significant, cp_product
-from .tucker import ALSOptions, ALSTrace, _guarded, hosvd
+from .tucker import ALSOptions, ALSTrace, _input_norm_sq, _sweeps, hosvd
 
 __all__ = [
     "CPDecomposition",
@@ -125,11 +125,6 @@ def _init_factors(A: DenseTensor, r: int, opts: ALSOptions) -> list[np.ndarray]:
             for n, U in zip(A.dims, tuck.factors)]
 
 
-def _cp_error(A: DenseTensor, factors: Sequence[np.ndarray], weights: Sequence[float]) -> float:
-    """``||A - M||**2`` with the CP model ``M`` densified."""
-    return norm(DenseTensor(A.data - cp_product(factors, weights).data)) ** 2
-
-
 def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, ALSTrace]:
     """Fit a rank-``r`` CP model by block alternating least squares.
 
@@ -146,43 +141,34 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
     """
     A = as_tensor(A)
     r = _integers([r], "rank", 1)[0]
-    if np.any(~np.isfinite(A.data)):
-        raise ValueError("input tensor contains non-finite entries")
+    norm_sq = _input_norm_sq(A)
     opts = opts or ALSOptions()
-    d = A.order
-    norm_sq = norm(A) ** 2
-
     factors = _init_factors(A, r, opts)
     weights = np.ones(r)
-    unfolds = [matricize(A, mu).data for mu in range(1, d + 1)]
+    unfolds = [matricize(A, mu).data for mu in range(1, A.order + 1)]
 
-    trace = ALSTrace(initial=_cp_error(A, factors, weights))
-    for _ in range(opts.max_sweeps):
-        flagged = False
-        for mu0 in reversed(range(d)):
-            # unit columns only: the solve absorbs the whole model scale
-            # into mode mu0, which then renormalizes into the weights
-            U = _khatri_rao_others(factors, mu0)
-            G = U.T @ U
-            rhs = unfolds[mu0].T @ U
-            lam, Q = np.linalg.eigh(G)
-            keep = _significant(lam)
-            flagged |= not keep.all()
-            Y = (rhs @ Q[:, keep] / lam[keep]) @ Q[:, keep].T
-            # a zero column keeps its previous unit column, with weight 0
-            weights = np.linalg.norm(Y, axis=0)
-            nonzero = weights > 0
-            factors[mu0][:, nonzero] = Y[:, nonzero] / weights[nonzero]
-            # the model is sum_a Y[:, a] (x) U[:, a]; its inner product with
-            # A is sum(Y * rhs) and its squared norm sum((Y.T Y) * G)
-            value = norm_sq - 2.0 * np.sum(Y * rhs) + np.sum((Y.T @ Y) * G)
-            trace.per_block.append(
-                _guarded(value, norm_sq, lambda: _cp_error(A, factors, weights)))
-        if trace.end_sweep(opts.rel_tol, norm_sq, flagged):
-            break
+    def update(mu0: int) -> tuple[float, bool]:
+        nonlocal weights
+        # unit columns only: the solve absorbs the whole model scale
+        # into mode mu0, which then renormalizes into the weights
+        U = _khatri_rao_others(factors, mu0)
+        G = U.T @ U
+        rhs = unfolds[mu0].T @ U
+        lam, Q = np.linalg.eigh(G)
+        keep = _significant(lam)
+        Y = (rhs @ Q[:, keep] / lam[keep]) @ Q[:, keep].T
+        # a zero column keeps its previous unit column, with weight 0
+        weights = np.linalg.norm(Y, axis=0)
+        nonzero = weights > 0
+        factors[mu0][:, nonzero] = Y[:, nonzero] / weights[nonzero]
+        # the model is sum_a Y[:, a] (x) U[:, a]; its inner product with
+        # A is sum(Y * rhs) and its squared norm sum((Y.T Y) * G)
+        value = norm_sq - 2.0 * np.sum(Y * rhs) + np.sum((Y.T @ Y) * G)
+        return value, not keep.all()
 
-    cp = CPDecomposition.from_factors(factors, weights)
-    return cp, trace
+    trace = _sweeps(A, norm_sq, opts, range(A.order - 1, -1, -1), update,
+                    lambda: cp_product(factors, weights))
+    return CPDecomposition.from_factors(factors, weights), trace
 
 
 def _contract_except(A: np.ndarray, xs: Sequence[np.ndarray], skip: int | None) -> np.ndarray:
@@ -206,26 +192,24 @@ def best_rank_one(A, opts: ALSOptions | None = None) -> tuple[float, list[np.nda
     ``"hosvd"`` start already is.
     """
     A = as_tensor(A)
-    norm_sq = norm(A) ** 2
+    norm_sq = _input_norm_sq(A)
     if norm_sq == 0.0:
         raise ValueError("zero tensor has no rank-one direction")
     opts = opts or ALSOptions()
     xs = [X[:, 0] for X in _init_factors(A, 1, opts)]
     alpha = float(_contract_except(A.data, xs, None))
 
-    def dense_error() -> float:
-        return _cp_error(A, [x[:, None] for x in xs], [alpha])
+    def update(mu0: int) -> tuple[float, bool]:
+        nonlocal alpha
+        y = _contract_except(A.data, xs, mu0)
+        alpha = float(np.linalg.norm(y))
+        if alpha > 0.0:  # else x_mu stays, and <A, x> = <y, x_mu> = 0 = alpha
+            xs[mu0] = y / alpha
+        return norm_sq - alpha ** 2, False
 
-    trace = ALSTrace(initial=_guarded(norm_sq - alpha ** 2, norm_sq, dense_error))
-    for _ in range(opts.max_sweeps):
-        for mu0 in range(A.order):
-            y = _contract_except(A.data, xs, mu0)
-            alpha = float(np.linalg.norm(y))
-            if alpha > 0.0:  # else x_mu stays, and <A, x> = <y, x_mu> = 0 = alpha
-                xs[mu0] = y / alpha
-            trace.per_block.append(_guarded(norm_sq - alpha ** 2, norm_sq, dense_error))
-        if trace.end_sweep(opts.rel_tol, norm_sq):
-            break
+    _sweeps(A, norm_sq, opts, range(A.order), update,
+            lambda: cp_product([x[:, None] for x in xs], [alpha]),
+            initial=norm_sq - alpha ** 2)
     return alpha, xs
 
 

@@ -255,10 +255,13 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
     Householder), then the left-to-right truncation step of ``tt_svd`` on
     each core, its carry multiplied into the next core.  Rounding a train
     back to (at least) its true ranks preserves the entries up to roundoff.
+    Both sweeps rebind cores and never write into one, so the input is left
+    unchanged; at ``d = 1`` both are empty and the result shares its one
+    core with the input.
     """
     d = T.order
     ranks = _check_targets(d, ranks, rel_tol)
-    cores = [G.copy() for G in T.cores]
+    cores = list(T.cores)
     # right-to-left: make every core but the first row-orthogonal
     for mu in range(d - 1, 0, -1):
         r_prev, n, r = cores[mu].shape

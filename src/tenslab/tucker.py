@@ -7,8 +7,9 @@ per mode-wise unfolding, :func:`hooi` refines them by alternating
 constrained SVDs.
 
 The alternating solvers :func:`hooi`, :func:`tenslab.cp.cp_als` and
-:func:`tenslab.cp.best_rank_one` share :class:`ALSOptions` and
-:class:`ALSTrace`, whose docstrings state the start, guard and stop rule.
+:func:`tenslab.cp.best_rank_one` share :class:`ALSOptions`, the input check
+:func:`_input_norm_sq` and the sweep driver :func:`_sweeps`, which records
+their :class:`ALSTrace`; each supplies its block order, update and model.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ class ALSTrace:
     vector update of :func:`tenslab.cp.best_rank_one`), ``per_sweep`` the
     last block value of each sweep, and ``flagged_sweeps`` the sweeps
     whose Gram solve dropped eigenvalues.  Values after ``initial`` come
-    from identities, which cancel near roundoff: :func:`_guarded` takes
+    from identities, which cancel near roundoff: :func:`_sweeps` takes
     the dense model's error at or below ``1e-8 * ||A||**2``.  :meth:`end_sweep`
     stops at a sweep value of exactly 0 or, for ``rel_tol > 0``, one that
     fell by less than ``rel_tol * ||A||**2`` over the sweep.
@@ -87,9 +88,41 @@ class ALSTrace:
         return current == 0.0 or (rel_tol > 0 and prev - current < rel_tol * norm_sq)
 
 
-def _guarded(value: float, norm_sq: float, dense_fn: Callable[[], float]) -> float:
-    """``value``, or ``dense_fn()`` where the guard of :class:`ALSTrace` applies."""
-    return float(dense_fn() if value <= _IDENTITY_GUARD * norm_sq else value)
+def _input_norm_sq(A: DenseTensor) -> float:
+    """``||A||**2`` of an alternating solver's input, checked before it starts:
+    a non-finite entry raises ``ValueError``, an overflow ``ArithmeticError``."""
+    if not np.isfinite(A.data).all():
+        raise ValueError("input tensor contains non-finite entries")
+    try:
+        with np.errstate(over="raise"):
+            return norm(A) ** 2
+    except ArithmeticError:
+        raise ArithmeticError("squared norm of the input tensor overflows float64") from None
+
+
+def _sweeps(A: DenseTensor, norm_sq: float, opts: ALSOptions, blocks: Sequence[int],
+            update: Callable[[int], tuple[float, bool]], model: Callable[[], DenseTensor],
+            initial: float | None = None) -> ALSTrace:
+    """Run the sweeps of an alternating solver; return its :class:`ALSTrace`.
+
+    ``update(mu0)``, for ``mu0`` in ``blocks`` in each sweep, updates one block
+    and returns the identity value of ``||A - M||**2`` and whether its Gram
+    solve dropped eigenvalues; ``initial`` is the start's value (``None``: the
+    dense one).  A value at or below ``1e-8 * ||A||**2`` becomes ``||A - model()||**2``."""
+    def guarded(value: float | None) -> float:
+        return float(norm(DenseTensor(A.data - model().data)) ** 2
+                     if value is None or value <= _IDENTITY_GUARD * norm_sq else value)
+
+    trace = ALSTrace(initial=guarded(initial))
+    for _ in range(opts.max_sweeps):
+        flagged = False
+        for mu0 in blocks:
+            value, dropped = update(mu0)
+            flagged |= dropped
+            trace.per_block.append(guarded(value))
+        if trace.end_sweep(opts.rel_tol, norm_sq, flagged):
+            break
+    return trace
 
 
 @dataclass
@@ -206,28 +239,21 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None,
     singular values of that step, so no step densifies.
     """
     A = as_tensor(A)
+    norm_sq = _input_norm_sq(A)
     opts = opts or ALSOptions()
     tuck, _ = hosvd(A, ranks, rel_tol)
-    ranks = tuck.ranks
-    factors = [U.copy() for U in tuck.factors]
-    d = A.order
-    norm_sq = norm(A) ** 2
+    factors = tuck.factors
 
-    def dense_error() -> float:
-        core = multilinear_apply(A, [U.T for U in factors])
-        recon = multilinear_apply(core, factors)
-        return norm(DenseTensor(A.data - recon.data)) ** 2
+    def update(mu0: int) -> tuple[float, bool]:
+        Y = multilinear_apply(A, [U.T if nu != mu0 else None for nu, U in enumerate(factors)])
+        kept = one_sided_svd(matricize(Y, mu0 + 1).data).truncate_to(tuck.ranks[mu0])
+        factors[mu0] = kept.U
+        return norm_sq - float(np.sum(kept.singular_values ** 2)), False
 
-    trace = ALSTrace(initial=_guarded(norm_sq - norm(tuck.core) ** 2, norm_sq, dense_error))
-    for _ in range(opts.max_sweeps):
-        for mu0 in range(d):
-            reducers = [factors[nu].T if nu != mu0 else None for nu in range(d)]
-            Y = multilinear_apply(A, reducers)
-            kept = one_sided_svd(matricize(Y, mu0 + 1).data).truncate_to(ranks[mu0])
-            factors[mu0] = kept.U
-            core_sq = float(np.sum(kept.singular_values ** 2))
-            trace.per_block.append(_guarded(norm_sq - core_sq, norm_sq, dense_error))
-        if trace.end_sweep(opts.rel_tol, norm_sq):
-            break
-    core = multilinear_apply(A, [U.T for U in factors])
-    return TuckerDecomposition(core, factors), trace
+    def core() -> DenseTensor:
+        return multilinear_apply(A, [U.T for U in factors])
+
+    trace = _sweeps(A, norm_sq, opts, range(A.order), update,
+                    lambda: multilinear_apply(core(), factors),
+                    initial=norm_sq - norm(tuck.core) ** 2)
+    return TuckerDecomposition(core(), factors), trace

@@ -143,6 +143,22 @@ class TestDecompose:
                            "--rank", "1", "--out", str(tmp_path / "x.cpd"))
         assert code == 4
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, rank", [("cp", "2"), ("hooi", "2,2,2")])
+    @pytest.mark.parametrize("scale, bad", [(1e200, None), (1.0, np.nan)],
+                             ids=["overflow", "nan"])
+    def test_alternating_solver_input_is_numeric_failure(self, capsys, tmp_path, rng,
+                                                         method, rank, scale, bad):
+        A = rng.standard_normal((4, 4, 4)) * scale
+        A[0, 1, 2] = A[0, 1, 2] if bad is None else bad
+        p = tmp_path / "a.dten"
+        write_dense(DenseTensor(A), p)
+        code, out, err = run(capsys, "decompose", str(p), "--method", method,
+                             "--rank", rank, "--out", str(tmp_path / "x.model"))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.model").exists()
+
     def test_svd_non_convergence_is_numeric_failure(self, capsys, tmp_path, dense_file,
                                                     monkeypatch):
         # LinAlgError subclasses ValueError, which would otherwise mean usage

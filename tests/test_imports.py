@@ -3,8 +3,9 @@ every private module-level name it defines is read somewhere in ``src``, no
 function converts an argument with ``int()`` outside ``dense._integers``, and
 no module but ``linalg.py`` reads the right factor ``V`` of an SVD or the
 numerical-rank cutoff ``RANK_CUTOFF`` or calls numpy's ``qr`` or ``cholesky``,
-and no module but ``dense.py`` checks the range of an integer that
-``dense._integers`` or ``dense._one_based`` returned.
+no module but ``dense.py`` checks the range of an integer that
+``dense._integers`` or ``dense._one_based`` returned, and nothing but the
+sweep driver ``tucker._sweeps`` builds or closes an ``ALSTrace``.
 
 A static check with :mod:`ast`: an import that nothing in the module reads
 and that ``__all__`` does not list is dead.  ``__init__.py`` exists to
@@ -19,7 +20,9 @@ second copy of that rule.  Every tall factorization goes through
 ``qr`` or ``cholesky`` elsewhere is a factorization that skips the rule.
 ``_integers`` checks a caller's integer against its least value and any
 upper bound, so an ``if`` that compares its result with a constant and
-raises is a second copy of the range rule.
+raises is a second copy of the range rule.  Every alternating solver runs
+its sweeps through ``tucker._sweeps``, so an ``ALSTrace(`` construction, an
+``.end_sweep(`` call or a ``per_block.append`` elsewhere is a second loop.
 """
 import ast
 from pathlib import Path
@@ -287,3 +290,44 @@ def test_the_check_sees_a_hand_written_range_check():
               "    if n < 1:\n"
               "        raise ValueError(n)\n")
     assert hand_written_range_checks(source) == [3, 6, 9, 11, 14]
+
+
+def trace_records(source: str, driver: str | None = None) -> list[int]:
+    """Line of each ``ALSTrace(...)`` construction, ``.end_sweep(...)`` call or
+    ``per_block.append(...)`` outside the function named ``driver``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == driver
+              for node in ast.walk(func)}
+
+    def records(call):
+        f = call.func
+        return ((isinstance(f, ast.Name) and f.id == "ALSTrace")
+                or (isinstance(f, ast.Attribute) and f.attr in ("ALSTrace", "end_sweep"))
+                or (isinstance(f, ast.Attribute) and f.attr == "append"
+                    and isinstance(f.value, ast.Attribute) and f.value.attr == "per_block"))
+
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and id(node) not in exempt and records(node))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_sweep_driver_records_a_trace(path):
+    driver = "_sweeps" if path.name == "tucker.py" else None
+    assert trace_records(path.read_text(), driver) == []
+
+
+def test_the_check_sees_a_trace_record():
+    source = ("def _sweeps(update):\n"
+              "    trace = ALSTrace(initial=0.0)\n"
+              "    trace.per_block.append(update())\n"
+              "    return trace.end_sweep(0.0, 1.0)\n"
+              "def solver(A):\n"
+              "    trace = tucker.ALSTrace(initial=1.0)\n"
+              "    trace.per_block.append(0.5)\n"
+              "    trace.per_sweep.append(0.5)\n"
+              "    stop = trace.end_sweep\n"
+              "    if trace.end_sweep(0.0, 1.0):\n"
+              "        return ALSTrace\n")
+    assert trace_records(source, "_sweeps") == [6, 7, 10]
+    assert trace_records(source) == [2, 3, 4, 6, 7, 10]

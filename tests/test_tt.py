@@ -371,6 +371,17 @@ class TestRounding:
         rounded = tt_round(padded)
         assert rounded.ranks[0] <= 3
 
+    @pytest.mark.parametrize("dims, ranks", [((3, 4), (2,)), ((3, 4, 5), (2, 3)),
+                                             ((2, 3, 3, 2), (2, 3, 2))])
+    def test_round_leaves_the_input_cores_unchanged(self, rng, dims, ranks):
+        T = random_tt(rng, dims, ranks)
+        before = [G.copy() for G in T.cores]
+        for target in ({}, {"rel_tol": 0.3}, {"ranks": [1] * len(ranks)}):
+            rounded = tt_round(T, **target)
+            for G, G0 in zip(T.cores, before):
+                np.testing.assert_array_equal(G, G0)
+            assert not any(np.shares_memory(G, R) for G in T.cores for R in rounded.cores)
+
 
 class TestPartitionAndMarginal:
     def test_additive_partition(self, rng):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tenslab.cp
 import tenslab.tucker
 
 from tenslab import (
     ALSOptions,
     ALSTrace,
     DenseTensor,
+    best_rank_one,
+    cp_als,
     hooi,
     hosvd,
     matricize,
@@ -268,6 +271,81 @@ class TestOneOptionsContract:
         Y = Y + E * (1e-3 * np.linalg.norm(Y) / np.linalg.norm(E))
         _, trace = hooi(Y, (r, r, r), ALSOptions(max_sweeps=5, rel_tol=0.0))
         assert len(trace.per_sweep) == 5
+
+
+SOLVERS = [
+    pytest.param(lambda A, opts: cp_als(A, 3, opts), id="cp_als"),
+    pytest.param(lambda A, opts: hooi(A, (2, 2, 2), opts), id="hooi"),
+    pytest.param(best_rank_one, id="best_rank_one"),
+]
+
+
+class TestOneSweepDriver:
+    """``tucker._sweeps`` runs every alternating solver; its traces and the
+    input check it shares with them hold for each."""
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        """The trace of every run of the sweep driver, by any solver."""
+        seen, driver = [], tenslab.tucker._sweeps
+
+        def recording(*args, **kwargs):
+            seen.append(driver(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(tenslab.cp, "_sweeps", recording)
+        monkeypatch.setattr(tenslab.tucker, "_sweeps", recording)
+        return seen
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("rank_one", [False, True], ids=["noisy", "rank_one"])
+    @pytest.mark.parametrize("max_sweeps, rel_tol", [(6, 0.0), (100, 1e-6)])
+    def test_trace_invariants(self, traces, rng, solve, rank_one, max_sweeps, rel_tol):
+        dims = (4, 5, 6)
+        if rank_one:  # a rank-3 CP fit of a rank-one tensor drops Gram eigenvalues
+            A = np.einsum("i,j,k->ijk", *(rng.standard_normal(n) for n in dims))
+        else:
+            A = rng.standard_normal(dims)
+        solve(A, ALSOptions(max_sweeps=max_sweeps, rel_tol=rel_tol, seed=3))
+        (trace,) = traces
+        blocks, sweeps = len(dims), len(trace.per_sweep)
+        assert len(trace.per_block) == blocks * sweeps
+        assert trace.per_sweep == [trace.per_block[(i + 1) * blocks - 1] for i in range(sweeps)]
+        if rel_tol == 0.0 and not rank_one:
+            assert sweeps == max_sweeps
+        flagged = trace.flagged_sweeps
+        assert all(a < b for a, b in zip(flagged, flagged[1:]))
+        assert set(flagged) <= set(range(sweeps))
+
+    def test_any_block_flags_its_sweep(self):
+        A = DenseTensor(np.ones((2, 2)))
+        drops = iter([True, False, False, False, False, True])
+        trace = tenslab.tucker._sweeps(A, 4.0, ALSOptions(max_sweeps=3, rel_tol=0.0), range(2),
+                                       lambda mu0: (1.0, next(drops)), lambda: A)
+        assert trace.flagged_sweeps == [0, 2]
+
+    def test_the_rank_one_cp_fit_flags_several_sweeps(self, traces, rng):
+        A = np.einsum("i,j,k->ijk", *(rng.standard_normal(n) for n in (4, 5, 6)))
+        cp_als(A, 3, ALSOptions(max_sweeps=6, rel_tol=0.0, seed=3))
+        assert len(traces[0].flagged_sweeps) >= 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_an_overflowing_norm_raises_before_any_sweep(self, traces, rng, solve):
+        A = rng.standard_normal((4, 4, 4)) * 1e200
+        with pytest.raises(ArithmeticError, match="overflows"):
+            solve(A, ALSOptions())
+        assert traces == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_raises(self, traces, rng, solve, bad):
+        A = rng.standard_normal((4, 4, 4))
+        A[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(A, ALSOptions())
+        assert traces == []
 
 
 class TestDenseCap:
