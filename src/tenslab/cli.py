@@ -92,8 +92,9 @@ def cmd_decompose(args) -> int:
         raise UsageError("cp takes one --rank value; tolerance-driven CP is not supported")
     opts = ALSOptions(max_sweeps=args.max_sweeps, rel_tol=args.stop_tol, seed=args.seed)
     A = tio.read_dense(args.input)
-    if np.any(~np.isfinite(A.data)):
-        raise NumericError(f"{args.input}: input contains non-finite values")
+    norm_a = norm(A)
+    if not np.isfinite(norm_a):
+        raise NumericError(f"{args.input}: input norm is {norm_a} (non-finite value or overflow)")
     extra_lines: list[str] = []
 
     if args.method == "cp":
@@ -120,7 +121,7 @@ def cmd_decompose(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown method {args.method}")
 
-    rel_error = _rel_error(A, _densify(tio.read_decomposition(args.out), args.dense_cap))
+    rel_error = _rel_error(norm_a, A, _densify(tio.read_decomposition(args.out), args.dense_cap))
 
     print(f"method={args.method}")
     print(f"input={args.input}")
@@ -139,9 +140,8 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _rel_error(A: DenseTensor, recon: DenseTensor) -> float:
-    denom = norm(A)
-    return norm(DenseTensor(A.data - recon.data)) / denom if denom > 0 else 0.0
+def _rel_error(norm_a: float, A: DenseTensor, recon: DenseTensor) -> float:
+    return norm(DenseTensor(A.data - recon.data)) / norm_a if norm_a > 0 else 0.0
 
 
 def _densify(obj, cap) -> DenseTensor:
@@ -171,7 +171,7 @@ def cmd_error(args) -> int:
         raise UsageError(
             f"dims mismatch: reference {_fmt_dims(A.dims)} vs "
             f"reconstruction {_fmt_dims(recon.dims)}")
-    print(f"rel_error={_fmt(_rel_error(A, recon))}")
+    print(f"rel_error={_fmt(_rel_error(norm(A), A, recon))}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
+from .dense import DenseTensor, _integers, _sumsq, as_tensor, check_dense_cap, matricize, norm
 from .linalg import _independent_rows, _khatri_rao_others, _significant, cp_product
 from .tucker import ALSOptions, ALSTrace, _input_norm_sq, _sweeps, hosvd
 
@@ -163,7 +163,7 @@ def cp_als(A, r: int, opts: ALSOptions | None = None) -> tuple[CPDecomposition, 
         factors[mu0][:, nonzero] = Y[:, nonzero] / weights[nonzero]
         # the model is sum_a Y[:, a] (x) U[:, a]; its inner product with
         # A is sum(Y * rhs) and its squared norm sum((Y.T Y) * G)
-        value = norm_sq - 2.0 * np.sum(Y * rhs) + np.sum((Y.T @ Y) * G)
+        value = norm_sq - 2.0 * _sumsq(Y, rhs) + _sumsq(Y.T @ Y, G)
         return value, not keep.all()
 
     trace = _sweeps(A, norm_sq, opts, range(A.order - 1, -1, -1), update,
@@ -202,7 +202,7 @@ def best_rank_one(A, opts: ALSOptions | None = None) -> tuple[float, list[np.nda
     def update(mu0: int) -> tuple[float, bool]:
         nonlocal alpha
         y = _contract_except(A.data, xs, mu0)
-        alpha = float(np.linalg.norm(y))
+        alpha = math.sqrt(_sumsq(y))
         if alpha > 0.0:  # else x_mu stays, and <A, x> = <y, x_mu> = 0 = alpha
             xs[mu0] = y / alpha
         return norm_sq - alpha ** 2, False

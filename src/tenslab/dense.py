@@ -116,9 +116,6 @@ class DenseTensor:
         idx = _check_multi_index(index, self.dims)
         return float(self.data[idx])
 
-    def norm(self, p: float = 2) -> float:
-        return norm(self, p)
-
     def __getitem__(self, key):
         # numpy-style, 0-based; use entry() for the 1-based surface
         return self.data[key]
@@ -390,17 +387,30 @@ def inner(A, B) -> float:
     A, B = as_tensor(A), as_tensor(B)
     if A.dims != B.dims:
         raise ValueError(f"inner needs equal dims, got {A.dims} and {B.dims}")
-    return float(np.dot(A.values, B.values))
+    return _sumsq(A.values, B.values)
+
+
+def _sumsq(x, y=None) -> float:
+    """``sum(x * y)`` over all entries (``y = x``: the squared l2 norm) by numpy's
+    einsum loop, not BLAS: one summation order at every thread count and
+    alignment, no floating-point error raised, no temporary of a contiguous ``x``."""
+    v = np.ravel(x)
+    return float(np.einsum("i,i->", v, v if y is None else np.ravel(y)))
 
 
 def norm(A, p: float = 2) -> float:
-    """Entrywise l1, l2 (Frobenius) or l-infinity norm."""
+    """Entrywise l1, l2 (Frobenius) or l-infinity norm; l2 rescales by a power
+    of two where the sum of squares is not a normal float, so no scale breaks it."""
     A = as_tensor(A)
     v = A.values
     if p == 1:
         return float(np.sum(np.abs(v)))
     if p == 2:
-        return float(np.linalg.norm(v))
+        sq = _sumsq(v)
+        if 2.0 ** -1022 <= sq < math.inf:
+            return math.sqrt(sq)
+        e = int(np.frexp(np.max(np.abs(v)))[1])    # 2.0 ** 1024 overflows: two factors
+        return math.sqrt(_sumsq(np.ldexp(v, -e))) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
     if p in (np.inf, math.inf) or p == "inf":
         return float(np.max(np.abs(v)))
     raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _integers, _one_based, as_tensor
+from .dense import DenseTensor, _integers, _one_based, _sumsq, as_tensor
 
 __all__ = [
     "SVDResult",
@@ -123,7 +123,7 @@ class SVDResult:
 
     def tail_energy(self, r: int) -> float:
         """Squared reconstruction error of the rank-``r`` truncation."""
-        return float(np.sum(self.singular_values[r:] ** 2))
+        return _sumsq(self.singular_values[r:])
 
 
 def svd(M) -> SVDResult:
@@ -226,7 +226,7 @@ def svd_to_tolerance(M, rel_tol: float) -> SVDResult:
     """
     check_tolerance(rel_tol)
     full = svd(M)
-    energy = float(np.sum(full.singular_values ** 2))
+    energy = _sumsq(full.singular_values)
     return full.truncate_to(budget=_tail_budget(rel_tol, energy, 1))
 
 

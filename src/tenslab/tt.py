@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _check_multi_index, _dims, _integers, _one_based, as_tensor, \
-    check_dense_cap, norm
+from .dense import DenseTensor, _check_multi_index, _dims, _integers, _one_based, _sumsq, \
+    as_tensor, check_dense_cap
 from .linalg import _qr, _tail_budget, check_tolerance, one_sided_svd
 from .cp import CPDecomposition
 
@@ -161,8 +161,8 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
     """
     A = as_tensor(A)
     ranks = _check_targets(A.order, ranks, rel_tol)
-    norm_a = norm(A)
-    budget = _tail_budget(rel_tol, norm_a ** 2, max(A.order - 1, 1))
+    norm_sq = _sumsq(A.data)
+    budget = _tail_budget(rel_tol, norm_sq, max(A.order - 1, 1))
 
     cores, qualities, tails = [], [], []
     W = A.data.reshape(1, -1)
@@ -171,12 +171,11 @@ def tt_svd(A, ranks: Sequence[int] | None = None,
         res, U, W = _step(W.reshape(r_prev * n_mu, -1), cap, budget)
         k = U.shape[1]
         cores.append(U.reshape(r_prev, n_mu, k))
-        energy_before = float(np.sum(res.singular_values ** 2))
-        qualities.append(1.0 if energy_before == 0.0 else
-                         float(np.sum(res.singular_values[:k] ** 2)) / energy_before)
+        s = res.singular_values
+        qualities.append(1.0 if s[0] == 0.0 else _sumsq(s[:k] / s[0]) / _sumsq(s / s[0]))
         tails.append(res.tail_energy(k))
     cores.append(W.reshape(-1, A.dims[-1], 1))
-    quality = TTQuality(qualities, tails, norm_a ** 2, float(np.sum(W ** 2)))
+    quality = TTQuality(qualities, tails, norm_sq, _sumsq(W))
     return TTTensor(cores), quality
 
 
@@ -271,7 +270,7 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
         cores[mu - 1] = np.tensordot(cores[mu - 1], R.T, axes=(2, 0))
 
     # all later cores are orthogonal now, so the first holds the norm
-    budget = _tail_budget(rel_tol, float(np.linalg.norm(cores[0])) ** 2, max(d - 1, 1))
+    budget = _tail_budget(rel_tol, _sumsq(cores[0]), max(d - 1, 1))
 
     # left-to-right: truncate
     for mu in range(d - 1):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _integers, as_tensor, check_dense_cap, matricize, norm
+from .dense import DenseTensor, _integers, _sumsq, as_tensor, check_dense_cap, matricize
 from .linalg import _tail_budget, check_tolerance, one_sided_svd
 
 __all__ = [
@@ -90,14 +90,15 @@ class ALSTrace:
 
 def _input_norm_sq(A: DenseTensor) -> float:
     """``||A||**2`` of an alternating solver's input, checked before it starts:
-    a non-finite entry raises ``ValueError``, an overflow ``ArithmeticError``."""
-    if not np.isfinite(A.data).all():
+    a non-finite entry raises ``ValueError``; a value that overflows, or is
+    subnormal or 0 for a nonzero ``A``, ``ArithmeticError``."""
+    norm_sq = _sumsq(A.data)
+    if not np.isfinite(norm_sq) and not np.isfinite(A.data).all():
         raise ValueError("input tensor contains non-finite entries")
-    try:
-        with np.errstate(over="raise"):
-            return norm(A) ** 2
-    except ArithmeticError:
-        raise ArithmeticError("squared norm of the input tensor overflows float64") from None
+    if not 2.0 ** -1022 <= norm_sq < np.inf and A.data.any():
+        flow = "overflows" if norm_sq == np.inf else "underflows"
+        raise ArithmeticError(f"squared norm of the input tensor {flow} float64")
+    return norm_sq
 
 
 def _sweeps(A: DenseTensor, norm_sq: float, opts: ALSOptions, blocks: Sequence[int],
@@ -110,8 +111,8 @@ def _sweeps(A: DenseTensor, norm_sq: float, opts: ALSOptions, blocks: Sequence[i
     solve dropped eigenvalues; ``initial`` is the start's value (``None``: the
     dense one).  A value at or below ``1e-8 * ||A||**2`` becomes ``||A - model()||**2``."""
     def guarded(value: float | None) -> float:
-        return float(norm(DenseTensor(A.data - model().data)) ** 2
-                     if value is None or value <= _IDENTITY_GUARD * norm_sq else value)
+        return (_sumsq(A.data - model().data)
+                if value is None or value <= _IDENTITY_GUARD * norm_sq else value)
 
     trace = ALSTrace(initial=guarded(initial))
     for _ in range(opts.max_sweeps):
@@ -214,7 +215,7 @@ def hosvd(A, ranks: Sequence[int], rel_tol: float | None = None
     for mu, cap in enumerate(ranks, start=1):
         res = one_sided_svd(matricize(A, mu).data)
         s = res.singular_values
-        budget = _tail_budget(rel_tol, float(np.sum(s ** 2)), A.order)
+        budget = _tail_budget(rel_tol, _sumsq(s), A.order)
         spectra.append(s.copy())
         factors.append(res.truncate_to(cap, budget).U)
     core = multilinear_apply(A, [U.T for U in factors])
@@ -248,12 +249,12 @@ def hooi(A, ranks: Sequence[int], opts: ALSOptions | None = None,
         Y = multilinear_apply(A, [U.T if nu != mu0 else None for nu, U in enumerate(factors)])
         kept = one_sided_svd(matricize(Y, mu0 + 1).data).truncate_to(tuck.ranks[mu0])
         factors[mu0] = kept.U
-        return norm_sq - float(np.sum(kept.singular_values ** 2)), False
+        return norm_sq - _sumsq(kept.singular_values), False
 
     def core() -> DenseTensor:
         return multilinear_apply(A, [U.T for U in factors])
 
     trace = _sweeps(A, norm_sq, opts, range(A.order), update,
                     lambda: multilinear_apply(core(), factors),
-                    initial=norm_sq - norm(tuck.core) ** 2)
+                    initial=norm_sq - _sumsq(tuck.core.data))
     return TuckerDecomposition(core(), factors), trace

@@ -1,11 +1,16 @@
+import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tenslab
 import tenslab.linalg
 from tenslab import DenseTensor, additive_tt, norm, zeros_tt
 from tenslab.cli import main
@@ -145,8 +150,8 @@ class TestDecompose:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method, rank", [("cp", "2"), ("hooi", "2,2,2")])
-    @pytest.mark.parametrize("scale, bad", [(1e200, None), (1.0, np.nan)],
-                             ids=["overflow", "nan"])
+    @pytest.mark.parametrize("scale, bad", [(1e200, None), (1e-200, None), (1.0, np.nan)],
+                             ids=["overflow", "underflow", "nan"])
     def test_alternating_solver_input_is_numeric_failure(self, capsys, tmp_path, rng,
                                                          method, rank, scale, bad):
         A = rng.standard_normal((4, 4, 4)) * scale
@@ -158,6 +163,33 @@ class TestDecompose:
         assert (code, out) == (4, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.model").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", [660, -660])
+    def test_hosvd_tt_and_info_at_extreme_magnitudes(self, capsys, tmp_path, rng, exponent):
+        # squares of 2**660 overflow and of 2**-660 underflow; norm2 scales
+        # exactly, and rel_error and the step qualities theta_* are scale-free
+        A = rng.standard_normal((6, 7, 8))
+        fits = {"tt": "3,4", "hosvd": "3,3,4"}
+        reports = []
+        for name, B in (("one", A), ("scaled", np.ldexp(A, exponent))):
+            p = tmp_path / f"{name}.dten"
+            write_dense(DenseTensor(B), p)
+            runs = {"info": run(capsys, "info", str(p))}
+            for method, rank in fits.items():
+                runs[method] = run(capsys, "decompose", str(p), "--method", method,
+                                   "--rank", rank, "--out", str(tmp_path / f"{name}.{method}"))
+            assert all((code, err) == (0, "") for code, _, err in runs.values())
+            reports.append({key: report(out) for key, (_, out, _) in runs.items()})
+        one, scaled = reports
+        assert float(scaled["info"]["norm2"]) == pytest.approx(
+            math.ldexp(float(one["info"]["norm2"]), exponent), rel=1e-12)
+        for method in fits:
+            keys = [k for k in one[method] if k == "rel_error" or k.startswith("theta")]
+            assert len(keys) == (4 if method == "tt" else 1)
+            for k in keys:
+                assert float(scaled[method][k]) == pytest.approx(float(one[method][k]),
+                                                                 rel=1e-12)
 
     def test_svd_non_convergence_is_numeric_failure(self, capsys, tmp_path, dense_file,
                                                     monkeypatch):
@@ -532,6 +564,33 @@ class TestDeterminism:
             outputs.append((stable, fit.read_bytes()))
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
+
+    # the BLAS reads its thread count when numpy loads, so each count runs in
+    # a child of its own; 40^3 is above OpenBLAS's threading threshold
+    CHILD = ("import json, sys\nfrom tenslab.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n    print('exit', main(argv))\n")
+    MODELS = {"cp": ("5", "cp.cpd"), "hooi": ("5,5,5", "hooi.tuck"),
+              "hosvd": ("5,5,5", "hosvd.tuck"), "tt": ("5,5", "tt.tten")}
+
+    def test_reports_and_files_do_not_depend_on_the_blas_thread_count(self, tmp_path, rng):
+        write_dense(DenseTensor(rng.standard_normal((40, 40, 40))), tmp_path / "a.dten")
+        commands = [["info", "../a.dten"]]
+        for method, (rank, out) in self.MODELS.items():
+            commands += [["decompose", "../a.dten", "--method", method, "--rank", rank,
+                          "--max-sweeps", "5", "--out", out], ["error", "../a.dten", out]]
+        runs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(Path(tenslab.__file__).parents[1]),
+                                                   os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", self.CHILD, json.dumps(commands)],
+                                  cwd=cwd, env=env, capture_output=True, text=True, check=True)
+            assert done.stderr == "" and done.stdout.count("exit 0") == len(commands)
+            lines = [l for l in done.stdout.splitlines() if not l.startswith("wall_time")]
+            runs.append((lines, [(cwd / out).read_bytes() for _, out in self.MODELS.values()]))
+        assert runs[0] == runs[1]
 
 
 class TestTolerance:

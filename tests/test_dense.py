@@ -313,6 +313,17 @@ class TestInnerAndNorms:
         assert norm(diff, 2) == pytest.approx(eps * math.sqrt(N), rel=1e-15)
         assert norm(diff, 1) == pytest.approx(eps * N, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", [-1074, -600, 0, 600, 1020])
+    def test_l2_norm_at_every_magnitude(self, exponent):
+        # 3-4-5 scaled by a power of two: exact wherever 3 * 2**e is representable
+        assert norm(np.ldexp([3.0, 0.0, 4.0], exponent)) == math.ldexp(5.0, exponent)
+
+    @pytest.mark.filterwarnings("error")
+    def test_l2_norm_beyond_float64_is_inf(self):
+        assert norm(np.full(2, 1.5e308)) == math.inf
+        assert math.isnan(norm([1.0, np.nan])) and norm([np.inf, -1.0]) == math.inf
+
     def test_inner_matches_vec_inner(self, rng):
         A = DenseTensor(rng.standard_normal((3, 4)))
         B = DenseTensor(rng.standard_normal((3, 4)))

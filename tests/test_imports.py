@@ -4,8 +4,9 @@ function converts an argument with ``int()`` outside ``dense._integers``, and
 no module but ``linalg.py`` reads the right factor ``V`` of an SVD or the
 numerical-rank cutoff ``RANK_CUTOFF`` or calls numpy's ``qr`` or ``cholesky``,
 no module but ``dense.py`` checks the range of an integer that
-``dense._integers`` or ``dense._one_based`` returned, and nothing but the
-sweep driver ``tucker._sweeps`` builds or closes an ``ALSTrace``.
+``dense._integers`` or ``dense._one_based`` returned, nothing but the
+sweep driver ``tucker._sweeps`` builds or closes an ``ALSTrace``, and
+nothing but ``dense._sumsq`` reduces a sum of products through BLAS.
 
 A static check with :mod:`ast`: an import that nothing in the module reads
 and that ``__all__`` does not list is dead.  ``__init__.py`` exists to
@@ -23,6 +24,10 @@ upper bound, so an ``if`` that compares its result with a constant and
 raises is a second copy of the range rule.  Every alternating solver runs
 its sweeps through ``tucker._sweeps``, so an ``ALSTrace(`` construction, an
 ``.end_sweep(`` call or a ``per_block.append`` elsewhere is a second loop.
+BLAS ``ddot`` sums in an order that follows its thread count, so every l2
+norm, inner product and energy goes through ``dense._sumsq``, and an
+``np.dot``, ``np.vdot``, ``np.inner``, ``.dot(`` or an ``np.linalg.norm``
+without ``axis=`` elsewhere is a reduction whose bits depend on the machine.
 """
 import ast
 from pathlib import Path
@@ -331,3 +336,46 @@ def test_the_check_sees_a_trace_record():
               "        return ALSTrace\n")
     assert trace_records(source, "_sweeps") == [6, 7, 10]
     assert trace_records(source) == [2, 3, 4, 6, 7, 10]
+
+
+BLAS_REDUCTIONS = {"dot", "vdot", "inner"}
+
+
+def blas_reductions(source: str, helper: str | None = None) -> list[int]:
+    """Line of each ``np.dot``, ``np.vdot`` or ``np.inner`` (read as an attribute
+    of numpy or imported from it), ``.dot(`` call and ``np.linalg.norm`` call
+    without an axis, outside the function named ``helper``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == helper
+              for node in ast.walk(func)}
+
+    def reduces(node):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_REDUCTIONS:
+            return ast.unparse(node.value) in ("np", "numpy")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            return f.attr == "dot" or (
+                f.attr == "norm" and ast.unparse(f.value) in ("np.linalg", "numpy.linalg")
+                and len(node.args) < 3 and all(k.arg != "axis" for k in node.keywords))
+        return (isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg")
+                and any(a.name in BLAS_REDUCTIONS | {"norm"} for a in node.names))
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in exempt and reduces(node)})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_sumsq_reduces_through_blas(path):
+    helper = "_sumsq" if path.name == "dense.py" else None
+    assert blas_reductions(path.read_text(), helper) == []
+
+
+def test_the_check_sees_a_blas_reduction():
+    source = ("from numpy.linalg import norm as n2\nimport numpy as np\n"
+              "def _sumsq(x):\n    return np.dot(x, x)\n"
+              "s = np.dot(a, b) + a.dot(b)\nf = np.vdot\nt = numpy.inner(a, b)\n"
+              "n = np.linalg.norm(M)\nc = np.linalg.norm(M, axis=0) + np.linalg.norm(M, 2, 1)\n"
+              "doc = 'np.dot'\nm = norm(M) + inner(A, B) + la.norm(M)\n")
+    assert blas_reductions(source, "_sumsq") == [1, 5, 6, 7, 8]
+    assert blas_reductions(source) == [1, 4, 5, 6, 7, 8]

@@ -331,9 +331,11 @@ class TestOneSweepDriver:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("solve", SOLVERS)
-    def test_an_overflowing_norm_raises_before_any_sweep(self, traces, rng, solve):
-        A = rng.standard_normal((4, 4, 4)) * 1e200
-        with pytest.raises(ArithmeticError, match="overflows"):
+    @pytest.mark.parametrize("scale, match", [(1e200, "overflows"), (1e-200, "underflows")])
+    def test_an_overflowing_norm_raises_before_any_sweep(self, traces, rng, solve, scale,
+                                                         match):
+        A = rng.standard_normal((4, 4, 4)) * scale
+        with pytest.raises(ArithmeticError, match=match):
             solve(A, ALSOptions())
         assert traces == []
 
