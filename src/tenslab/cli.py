@@ -60,13 +60,16 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def cmd_info(args) -> int:
     A = tio.read_dense(args.path)
+    values = {"norm1": norm(A, 1), "norm2": norm(A, 2), "norminf": norm(A, np.inf),
+              "z": partition_sum(A)}
+    bad = [f"{key}={value}" for key, value in values.items() if not np.isfinite(value)]
+    if bad:
+        raise NumericError(f"{args.path}: {', '.join(bad)} (non-finite value or overflow)")
     print(f"path={args.path}")
     print(f"dims={_fmt_dims(A.dims)}")
     print(f"order={A.order}")
-    print(f"norm1={_fmt(norm(A, 1))}")
-    print(f"norm2={_fmt(norm(A, 2))}")
-    print(f"norminf={_fmt(norm(A, np.inf))}")
-    print(f"z={_fmt(partition_sum(A))}")
+    for key, value in values.items():
+        print(f"{key}={_fmt(value)}")
     return EXIT_OK
 
 

@@ -404,7 +404,8 @@ def norm(A, p: float = 2) -> float:
     A = as_tensor(A)
     v = A.values
     if p == 1:
-        return float(np.sum(np.abs(v)))
+        with np.errstate(over="ignore"):                # an overflow is inf, not a warning
+            return float(np.sum(np.abs(v)))
     if p == 2:
         sq = _sumsq(v)
         if 2.0 ** -1022 <= sq < math.inf:
@@ -453,4 +454,5 @@ def wedge(a, b) -> DenseTensor:
 def partition_sum(A) -> float:
     """Sum of all entries; equals the l1 norm on nonnegative tensors."""
     A = as_tensor(A)
-    return float(np.sum(A.values))
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is inf or nan
+        return float(np.sum(A.values))

@@ -2,19 +2,20 @@
 pseudo-inverse, CUR sampling, Kronecker-family products, ball volumes.
 
 Every decomposition engine in this package reduces to the routines here.
-``svd`` hands LAPACK a wide matrix as its tall transpose (QR-first
-reduction over contiguous columns) and fixes the sign ambiguity in place
+``svd`` hands LAPACK a wide matrix as its tall transpose, after a tall QR
+where ``_cholqr2`` applies, and fixes the sign ambiguity in place
 (largest-magnitude entry of each left singular vector made nonnegative)
-so that goldens are reproducible; it copies no factor.
+so that goldens are reproducible.
 TT-SVD, HOSVD and HOOI keep one side of each unfolding's SVD and get it
 from :func:`one_sided_svd`, which reduces a tall matrix to its small
 triangle by QR first, so no engine forms the long factor it would drop;
-the sign convention lands on the factor the engine keeps.  ``_qr`` is the
-one tall QR, of ``one_sided_svd`` and ``tt_round``'s sweep: an m x n
-``L`` (m > n) goes by CholeskyQR2 (Fukaya et al., ScalA 2014) when
+the sign convention lands on the factor the engine keeps.  ``_cholqr2`` is
+the one tall-QR rule, of ``svd``, ``one_sided_svd`` and ``tt_round``'s sweep:
+an m x n ``L`` (m > n) goes by CholeskyQR2 (Fukaya et al., ScalA 2014) when
 ``8 kappa(L) sqrt((m n + n (n + 1)) u) <= 1``, ``u = 2**-53``, and both
 Choleskys succeed, the sufficient condition under which it is as backward
-stable as Householder (Yamamoto et al., ETNA 44, 2015); else by Householder.
+stable as Householder (Yamamoto et al., ETNA 44, 2015); else ``_qr`` takes
+Householder and ``svd`` gives ``L`` to gesdd whole, which does that QR itself.
 Every truncating engine calls :meth:`SVDResult.truncate_to`, the one place
 that applies :func:`truncation_rank`; tolerances pass :func:`check_tolerance`,
 and ``_tail_budget`` is the one split of a tolerance over ``k`` truncations.
@@ -132,12 +133,17 @@ def svd(M) -> SVDResult:
     The first largest-magnitude entry of every left singular vector is
     made nonnegative by flipping it and its right vector in place.  A
     wide matrix is factored as its tall transpose ``A.T = V diag(s) U^T``.
+    A tall operand that :func:`_cholqr2` factors as ``Q R`` has only ``R``
+    decomposed by LAPACK, and ``Q`` times its left factor returned.
     A zero matrix yields all-zero singular values with arbitrary
     orthonormal factors.
     """
     A = _as_matrix(M)
     wide = A.shape[1] > A.shape[0]
-    U, s, Vt = np.linalg.svd(A.T if wide else A, full_matrices=False)
+    T = A.T if wide else A
+    Q, R = _cholqr2(T, want_q=True) or (None, T)      # refused: gesdd takes T whole
+    U, s, Vt = np.linalg.svd(R, full_matrices=False)
+    U = U if Q is None else Q @ U
     U, V = (Vt.T, U) if wide else (U, Vt.T)
     # row-major |U^T|: argmax then scans contiguous rows without a copy
     pivot = np.argmax(np.abs(U.T, order="C"), axis=1)
@@ -147,9 +153,10 @@ def svd(M) -> SVDResult:
     return SVDResult(U, s, V)
 
 
-def _qr(L: np.ndarray, want_q: bool = False):
-    """``R``, or ``(Q, R)`` with ``want_q``, of a thin QR of ``L`` by the
-    route rule of the module docstring."""
+def _cholqr2(L: np.ndarray, want_q: bool = False):
+    """``R``, or ``(Q, R)`` with ``want_q``, of a thin QR of ``L`` by
+    CholeskyQR2 under the route rule of the module docstring; None where
+    that rule sends ``L`` to Householder."""
     m, n = L.shape
     if m > n:
         # kappa**2 = lam[-1] / lam[0] from the Gram, not an SVD, so the only SVD
@@ -169,7 +176,13 @@ def _qr(L: np.ndarray, want_q: bool = False):
                 return (Q @ np.linalg.inv(R2), R2 @ R1) if want_q else R2 @ R1
             except np.linalg.LinAlgError:
                 pass
-    return np.linalg.qr(L) if want_q else np.linalg.qr(L, mode="r")
+    return None
+
+
+def _qr(L: np.ndarray, want_q: bool = False):
+    """:func:`_cholqr2`, else Householder QR."""
+    QR = _cholqr2(L, want_q)
+    return QR if QR is not None else np.linalg.qr(L, mode="reduced" if want_q else "r")
 
 
 def one_sided_svd(L) -> SVDResult:

@@ -9,7 +9,8 @@ of small matrix products, densifying nothing.
 ``tt_svd`` (of a dense tensor) and ``tt_round`` (of a train whose ranks
 grew) share one left-to-right step: keep the left singular vectors ``U``
 of the unfolding ``M``, from ``one_sided_svd(M.T)`` truncated by
-``SVDResult.truncate_to``, as the core and carry ``U.T @ M``.  A tolerance
+``SVDResult.truncate_to``, as the core and carry ``U.T @ M`` (a tall ``M``
+by ``linalg.svd``, CholeskyQR2 under the bound below, else gesdd).  A tolerance
 gives each of the ``d-1`` steps the tail budget ``rel_tol * ||A|| /
 sqrt(d-1)`` (Oseledets, SISC 2011).  ``tt_round`` first makes every core
 but the first row-orthonormal by ``linalg``'s tall QR: CholeskyQR2 (Fukaya
@@ -252,8 +253,9 @@ def tt_round(T: TTTensor, ranks: Sequence[int] | None = None,
     by CholeskyQR2 (Fukaya et al., ScalA 2014) where ``8 kappa sqrt((m n +
     n (n + 1)) 2**-53) <= 1`` (Yamamoto et al., ETNA 44, 2015), else
     Householder), then the left-to-right truncation step of ``tt_svd`` on
-    each core, its carry multiplied into the next core.  Rounding a train
-    back to (at least) its true ranks preserves the entries up to roundoff.
+    each core, whose SVD takes the same route, its carry multiplied into the
+    next core.  Rounding a train back to (at least) its true ranks preserves
+    the entries up to roundoff.
     Both sweeps rebind cores and never write into one, so the input is left
     unchanged; at ``d = 1`` both are empty and the result shares its one
     core with the input.

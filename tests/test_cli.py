@@ -48,6 +48,18 @@ class TestInfo:
         assert float(rep["norm1"]) == eps * N
         assert float(rep["norm2"]) == pytest.approx(eps * math.sqrt(N), rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fill, bad", [(1.5e308, None), (-1.5e308, 1.5e308), (1.0, np.nan)],
+                             ids=["overflow", "both-signs-overflow", "nan"])
+    def test_non_finite_report_is_numeric_failure(self, capsys, tmp_path, fill, bad):
+        A = np.full((3, 3), fill)
+        A[0, 0] = A[0, 0] if bad is None else bad
+        p = tmp_path / "a.dten"
+        write_dense(DenseTensor(A), p)
+        code, out, err = run(capsys, "info", str(p))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_corrupted_magic_is_io_error(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "info", str(fixtures_dir / "bad_magic.dten"))
         assert code == 3

@@ -190,15 +190,16 @@ def test_the_check_sees_a_rank_cutoff_read():
     assert rank_cutoff_reads(source) == [1, 3, 6]
 
 
-FACTORIZATIONS = {"qr", "cholesky"}
+FACTORIZATIONS = {"qr", "cholesky", "svd"}
 
 
 def factorization_calls(source: str) -> list[int]:
-    """Line of each ``qr`` or ``cholesky`` read as an attribute (``np.linalg.qr``)
-    or imported by name (``from numpy.linalg import qr``)."""
+    """Line of each ``qr``, ``cholesky`` or ``svd`` read as an attribute
+    (``np.linalg.qr``) or imported by name from another package (``from
+    numpy.linalg import qr``); ``from .linalg import svd`` takes the route."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if (isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS)
-                  or (isinstance(node, ast.ImportFrom)
+                  or (isinstance(node, ast.ImportFrom) and node.level == 0
                       and any(a.name in FACTORIZATIONS for a in node.names)))
 
 
@@ -211,8 +212,10 @@ def test_only_linalg_factors_a_tall_matrix(path):
 def test_the_check_sees_a_factorization_call():
     source = ("import numpy as np\nfrom numpy.linalg import qr as householder, norm\n"
               "Q, R = np.linalg.qr(M.T)\nC = numpy.linalg.cholesky(G).T\n"
-              "doc = 'np.linalg.qr'\nR = _qr(M)\nn = np.linalg.norm(M)\n")
-    assert factorization_calls(source) == [2, 3, 4]
+              "doc = 'np.linalg.qr'\nR = _qr(M)\nn = np.linalg.norm(M)\n"
+              "U, s, Vt = np.linalg.svd(M)\nfrom numpy.linalg import svd\n"
+              "from .linalg import svd, one_sided_svd\n")
+    assert factorization_calls(source) == [2, 3, 4, 8, 9]
 
 
 INTEGER_RULE = {"_integers", "_one_based"}

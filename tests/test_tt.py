@@ -139,8 +139,10 @@ class TestTTSVD:
 
     @pytest.mark.parametrize("target", [{"ranks": (3, 5, 7, 5, 3)}, {"rel_tol": 0.3}])
     def test_lapack_never_sees_the_long_side(self, rng, monkeypatch, target):
-        # a p x q unfolding reaches LAPACK's SVD as p x min(p, q): a wide one
-        # as its triangle, so the long factor it would drop is never formed
+        # a p x q unfolding reaches LAPACK's SVD as its min(p, q) square
+        # triangle: a wide one by one_sided_svd's QR, so the long factor it
+        # would drop is never formed, and a well-conditioned tall one by
+        # svd's CholeskyQR2, which keeps its long factor as Q
         shapes = []
         lapack_svd = np.linalg.svd
 
@@ -152,7 +154,7 @@ class TestTTSVD:
         T, _ = tt_svd(rng.standard_normal((4,) * 6), **target)
         rows = [r * n for r, n in zip(T.full_ranks, T.dims[:-1])]
         cols = [4 ** (6 - mu) for mu in range(1, 6)]
-        assert shapes == [(p, min(p, q)) for p, q in zip(rows, cols)]
+        assert shapes == [(min(p, q), min(p, q)) for p, q in zip(rows, cols)]
 
     def test_planted_rank_eight_matches_the_two_sided_cascade(self, rng):
         dims = (8,) * 7
